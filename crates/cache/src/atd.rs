@@ -86,13 +86,6 @@ impl AtdCounters {
         self.hits.fill(0);
     }
 
-    /// Disjoint mutable views of each module's hit histogram (`ways`
-    /// entries per module, in module order) — the batch kernel's per-module
-    /// shard split of the counters.
-    pub(crate) fn module_hits_chunks_mut(&mut self) -> std::slice::ChunksMut<'_, u64> {
-        self.hits.chunks_mut(self.ways as usize)
-    }
-
     pub fn modules(&self) -> u16 {
         self.modules
     }

@@ -1,41 +1,25 @@
-//! Batched access kernel over the struct-of-arrays cache storage, with
-//! deterministic per-module sharding.
+//! The L1 batch kernel: the struct-of-arrays demand-access path every
+//! simulated bundle goes through.
 //!
-//! [`SetAssocCache::access_batch`] performs a whole block of demand
-//! accesses in one call. It is *state-equivalent* to issuing the same
-//! accesses one-by-one through [`SetAssocCache::access`], with one
-//! deliberate difference: the lifetime [`crate::CacheStats`] counters are
-//! **deferred** into the returned [`BatchOutcome`] instead of being
-//! applied to the cache. Callers either fold the aggregates back in one go
-//! ([`SetAssocCache::commit_batch_stats`]) or, like the system simulator,
-//! apply them per consumed access
-//! ([`SetAssocCache::apply_access_stats`]) so counters stay exact even
-//! when a prefetched block is only partially consumed.
-//!
-//! Sharding: modules are contiguous, disjoint set ranges, and every piece
-//! of per-access mutable state (tags, valid/dirty bitmasks, retention
-//! clocks, recency orders, per-module ATD histograms, the module's way
-//! count) splits cleanly along module boundaries. Accesses are therefore
-//! grouped by module and processed module-by-module, preserving program
-//! order *within* each module — which is exactly the order that matters,
-//! because accesses to different modules touch disjoint state and their
-//! only shared effects (counter sums) are commutative integer additions.
-//! That argument is also what makes
-//! [`SetAssocCache::access_batch_threaded`] deterministic at any thread
-//! count: each worker owns one module's shard (`split_at_mut`-style
-//! disjoint borrows, no locks on the data), results are scattered back by
-//! input index, and aggregates are merged in fixed module order.
+//! [`SetAssocCache::access_batch_l1`] performs a whole refill block of
+//! accesses on an L1-shaped cache ([`SetAssocCache::supports_l1_batch`])
+//! in one call. It is *state-equivalent* to issuing the same accesses
+//! one-by-one through [`SetAssocCache::access`], with one deliberate
+//! difference: the lifetime [`crate::CacheStats`] counters are
+//! **deferred**. The caller folds them in per consumed access with
+//! [`SetAssocCache::apply_rec_stats`], so counters stay exact even when a
+//! prefetched block is only partially consumed (the simulator's
+//! instruction-target break). The `esteem-check` lockstep oracle replays
+//! its L1-shaped cases through this kernel record for record against the
+//! scalar path.
 
-use esteem_par::{parallel_map_with, ParConfig};
-
-use crate::cache::{full_mask, AccessOutcome, LeaderRule, SetAssocCache, SetBits};
-use crate::config::CacheGeometry;
-use crate::lru::{self, OrderShard};
+use crate::cache::{full_mask, LeaderRule, SetAssocCache};
+use crate::lru;
 use crate::BlockAddr;
 
 /// Compact per-access outcome of [`SetAssocCache::access_batch_l1`]:
 /// everything the simulator's consume path needs from an L1 access, in
-/// one byte instead of the 40-byte [`AccessOutcome`]. Bit 7 flags a miss,
+/// one byte instead of the 40-byte [`crate::AccessOutcome`]. Bit 7 flags a miss,
 /// bit 6 flags a dirty eviction (whose block address travels in the
 /// kernel's side `writebacks` vector, in access order), bits 0..6 hold
 /// the recency position of a hit. At the front end's buffer depths the
@@ -88,523 +72,7 @@ pub fn encode_l1_access(block: BlockAddr, write: bool) -> u64 {
     (block << 1) | u64::from(write)
 }
 
-/// One queued demand access for the batch kernel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Access {
-    pub block: BlockAddr,
-    pub write: bool,
-    /// Issue cycle, used for the eDRAM retention clocks; ignored when the
-    /// cache does not track retention (the L1s).
-    pub now: u64,
-}
-
-/// Result of one [`SetAssocCache::access_batch`] call: per-access outcomes
-/// in input order, plus the batch's *deferred* stats deltas.
-///
-/// `outcomes` is appended to (never cleared) so a caller can keep a
-/// rolling buffer across calls; the aggregate counters likewise accumulate
-/// until [`BatchOutcome::clear`]. The scratch vectors keep the kernel
-/// allocation-free in steady state.
-#[derive(Debug, Clone, Default)]
-pub struct BatchOutcome {
-    /// One outcome per access, in input order (field-for-field identical
-    /// to what the scalar path would have returned).
-    pub outcomes: Vec<AccessOutcome>,
-    pub hits: u64,
-    pub misses: u64,
-    pub writes: u64,
-    pub writebacks: u64,
-    /// Per-LRU-position hit histogram delta (`ways` entries).
-    pub pos_hits: Vec<u64>,
-    // --- reusable scratch, all cleared/rebuilt per call ---
-    sorted_idx: Vec<u32>,
-    sorted_acc: Vec<Access>,
-    results: Vec<AccessOutcome>,
-    counts: Vec<u32>,
-    pos_scratch: Vec<u64>,
-    bank_scratch: Vec<u64>,
-}
-
-impl BatchOutcome {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of outcomes accumulated so far.
-    pub fn len(&self) -> usize {
-        self.outcomes.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.outcomes.is_empty()
-    }
-
-    /// Drops accumulated outcomes and zeroes the aggregate deltas
-    /// (capacity is kept).
-    pub fn clear(&mut self) {
-        self.outcomes.clear();
-        self.hits = 0;
-        self.misses = 0;
-        self.writes = 0;
-        self.writebacks = 0;
-        self.pos_hits.fill(0);
-    }
-}
-
-/// Outcome placeholder used to pre-size the results buffer.
-const EMPTY_OUTCOME: AccessOutcome = AccessOutcome {
-    hit: false,
-    hit_pos: 0,
-    set: 0,
-    way: 0,
-    bank: 0,
-    module: 0,
-    leader: false,
-    evicted_valid: false,
-    writeback: None,
-};
-
-/// One module's disjoint mutable slice of the cache, plus its deferred
-/// counter deltas. Everything a worker thread needs, nothing shared.
-struct ModuleShard<'a> {
-    g: CacheGeometry,
-    rule: LeaderRule,
-    track_retention: bool,
-    module: u16,
-    first_set: u32,
-    /// Enable mask of the module's follower sets.
-    active_mask: u64,
-    /// All-ways mask (leader sets).
-    full: u64,
-    tags: &'a mut [u64],
-    bits: &'a mut [SetBits],
-    last_update: &'a mut [u64],
-    order: OrderShard<'a>,
-    /// This module's slice of the ATD hit histogram (`ways` entries).
-    atd_hits: &'a mut [u64],
-    // Deferred deltas (merged under the cache lock-free, in module order).
-    hits: u64,
-    misses: u64,
-    writebacks: u64,
-    /// Newly valid lines (batches only fill; they never invalidate).
-    valid_delta: u64,
-    pos_hits: &'a mut [u64],
-    valid_per_bank: &'a mut [u64],
-}
-
-impl ModuleShard<'_> {
-    /// Mirrors [`SetAssocCache::access`] exactly, on shard-local state,
-    /// deferring stats. Any change here must be reflected there (the
-    /// `esteem-check` lockstep fuzzer replays every op stream through both
-    /// paths to pin the equivalence).
-    #[inline]
-    fn access(&mut self, acc: Access) -> AccessOutcome {
-        let g = self.g;
-        let set = g.set_of(acc.block);
-        let tag = g.tag_of(acc.block);
-        let lset = (set - self.first_set) as usize;
-        let leader = self.rule.is_leader(set);
-        let mask = if leader { self.full } else { self.active_mask };
-        let a = g.ways as usize;
-        let base = lset * a;
-
-        let mut cand = self.bits[lset].valid & mask;
-        while cand != 0 {
-            let way = cand.trailing_zeros() as u8;
-            cand &= cand - 1;
-            if self.tags[base + way as usize] == tag {
-                let pos = self.order.touch_returning_pos(lset, way);
-                self.hits += 1;
-                self.pos_hits[pos as usize] += 1;
-                if leader {
-                    self.atd_hits[pos as usize] += 1;
-                }
-                if acc.write {
-                    self.bits[lset].dirty |= 1u64 << way;
-                }
-                if self.track_retention {
-                    self.last_update[base + way as usize] = acc.now;
-                }
-                #[cfg(feature = "strict-invariants")]
-                self.assert_set_invariants(lset, mask);
-                return AccessOutcome {
-                    hit: true,
-                    hit_pos: pos,
-                    set,
-                    way,
-                    bank: g.bank_of(set),
-                    module: self.module,
-                    leader,
-                    evicted_valid: false,
-                    writeback: None,
-                };
-            }
-        }
-
-        // Miss: prefer a stale invalid enabled way (searched from the LRU
-        // end), else evict the LRU enabled way.
-        self.misses += 1;
-        let invalid_enabled = !self.bits[lset].valid & mask;
-        let victim = if invalid_enabled != 0 {
-            self.order
-                .find_from_lru(lset, g.ways, |w| invalid_enabled & (1u64 << w) != 0)
-        } else {
-            self.order.lru_victim(lset, mask, g.ways)
-        }
-        .expect("a module must always have at least one enabled way");
-
-        let vbit = 1u64 << victim;
-        let slot = base + victim as usize;
-        let mut writeback = None;
-        let evicted_valid = self.bits[lset].valid & vbit != 0;
-        if evicted_valid {
-            if self.bits[lset].dirty & vbit != 0 {
-                writeback = Some(g.block_of(self.tags[slot], set));
-                self.writebacks += 1;
-            }
-        } else {
-            self.bits[lset].valid |= vbit;
-            self.valid_delta += 1;
-            self.valid_per_bank[g.bank_of(set) as usize] += 1;
-        }
-        self.tags[slot] = tag;
-        if acc.write {
-            self.bits[lset].dirty |= vbit;
-        } else {
-            self.bits[lset].dirty &= !vbit;
-        }
-        if self.track_retention {
-            self.last_update[slot] = acc.now;
-        }
-        self.order.touch(lset, victim);
-
-        #[cfg(feature = "strict-invariants")]
-        {
-            assert!(mask & vbit != 0, "victim way {victim} is not enabled");
-            self.assert_set_invariants(lset, mask);
-        }
-
-        AccessOutcome {
-            hit: false,
-            hit_pos: 0,
-            set,
-            way: victim,
-            bank: g.bank_of(set),
-            module: self.module,
-            leader,
-            evicted_valid,
-            writeback,
-        }
-    }
-
-    /// Processes this shard's accesses in order, writing outcomes to the
-    /// matching `results` slots.
-    fn run(&mut self, accesses: &[Access], results: &mut [AccessOutcome]) {
-        debug_assert_eq!(accesses.len(), results.len());
-        for (acc, res) in accesses.iter().zip(results.iter_mut()) {
-            *res = self.access(*acc);
-        }
-    }
-
-    /// Shard-local version of the per-mutation set invariants: the LRU
-    /// order is a permutation of the physical ways, no disabled way holds
-    /// a valid line, dirty implies valid.
-    #[cfg(feature = "strict-invariants")]
-    fn assert_set_invariants(&self, lset: usize, mask: u64) {
-        let b = self.bits[lset];
-        assert_eq!(
-            b.valid & !mask,
-            0,
-            "shard set {lset}: valid line in a disabled way"
-        );
-        assert_eq!(
-            b.dirty & !b.valid,
-            0,
-            "shard set {lset}: dirty bit on an invalid line"
-        );
-        let mut seen = 0u64;
-        for way in 0..self.g.ways {
-            let p = self.order.position_of(lset, way);
-            assert!(p < self.g.ways, "shard set {lset}: position {p} >= A");
-            assert_eq!(
-                seen & (1u64 << p),
-                0,
-                "shard set {lset}: LRU position {p} duplicated"
-            );
-            seen |= 1u64 << p;
-        }
-    }
-}
-
 impl SetAssocCache {
-    /// Performs a block of demand accesses, appending one outcome per
-    /// access (in input order) to `out` and accumulating the batch's stats
-    /// deltas there instead of in [`SetAssocCache::stats`] — see the
-    /// module docs for why stats are deferred. Cache *state* (tags, LRU,
-    /// dirty bits, valid counts, retention clocks, ATD) ends up exactly as
-    /// if each access had gone through [`SetAssocCache::access`].
-    pub fn access_batch(&mut self, accesses: &[Access], out: &mut BatchOutcome) {
-        self.access_batch_threaded(accesses, 1, out);
-    }
-
-    /// [`SetAssocCache::access_batch`] with the per-module shards spread
-    /// over `threads` worker threads. Results are bit-identical at any
-    /// thread count: shards borrow disjoint state, outcomes are scattered
-    /// back by input index, and counter merges run in module order on the
-    /// calling thread.
-    pub fn access_batch_threaded(
-        &mut self,
-        accesses: &[Access],
-        threads: usize,
-        out: &mut BatchOutcome,
-    ) {
-        let g = self.geom;
-        let a = g.ways as usize;
-        let modules = g.modules as usize;
-        if out.pos_hits.len() < a {
-            out.pos_hits.resize(a, 0);
-        }
-        out.writes += accesses.iter().filter(|x| x.write).count() as u64;
-        let base = out.outcomes.len();
-
-        if modules == 1 {
-            // Single module (every L1, and the smallest L2 configs): one
-            // shard covering the whole cache, processed in input order and
-            // written straight into `out.outcomes` — the simulator's
-            // per-core hot path takes exactly this branch.
-            out.outcomes.resize(base + accesses.len(), EMPTY_OUTCOME);
-            let mut scratch = std::mem::take(&mut out.bank_scratch);
-            scratch.clear();
-            scratch.resize(g.banks as usize, 0);
-            let mut pos = std::mem::take(&mut out.pos_scratch);
-            pos.clear();
-            pos.resize(a, 0);
-            let mut shard = ModuleShard {
-                g,
-                rule: self.leader_rule,
-                track_retention: self.track_retention,
-                module: 0,
-                first_set: 0,
-                active_mask: full_mask(self.module_ways[0]),
-                full: full_mask(g.ways),
-                tags: &mut self.tags,
-                bits: &mut self.bits,
-                last_update: &mut self.last_update,
-                order: self
-                    .order
-                    .shard_views(g.sets as usize)
-                    .pop()
-                    .expect("one shard"),
-                atd_hits: self.atd.module_hits_chunks_mut().next().expect("module 0"),
-                hits: 0,
-                misses: 0,
-                writebacks: 0,
-                valid_delta: 0,
-                pos_hits: &mut pos,
-                valid_per_bank: &mut scratch,
-            };
-            shard.run(accesses, &mut out.outcomes[base..]);
-            out.hits += shard.hits;
-            out.misses += shard.misses;
-            out.writebacks += shard.writebacks;
-            self.valid_lines += shard.valid_delta;
-            for (dst, &d) in self.valid_per_bank.iter_mut().zip(scratch.iter()) {
-                *dst += d;
-            }
-            for (dst, &d) in out.pos_hits.iter_mut().zip(pos.iter()) {
-                *dst += d;
-            }
-            out.bank_scratch = scratch;
-            out.pos_scratch = pos;
-            return;
-        }
-
-        // Group accesses by module (stable counting sort, so per-module
-        // program order is preserved).
-        let n = accesses.len();
-        out.counts.clear();
-        out.counts.resize(modules, 0);
-        for acc in accesses {
-            out.counts[g.module_of(g.set_of(acc.block)) as usize] += 1;
-        }
-        if let Some(h) = &self.shard_metrics {
-            // Shard-size imbalance for this batch: max over mean, in
-            // percent, across modules that received work (100 = even).
-            let max = out.counts.iter().copied().max().unwrap_or(0) as u64;
-            let busy = out.counts.iter().filter(|&&c| c > 0).count() as u64;
-            if busy > 1 {
-                h.record(max * 100 * busy / n as u64);
-            }
-        }
-        let mut offsets = vec![0u32; modules + 1];
-        for m in 0..modules {
-            offsets[m + 1] = offsets[m] + out.counts[m];
-        }
-        out.sorted_idx.clear();
-        out.sorted_idx.resize(n, 0);
-        out.sorted_acc.clear();
-        out.sorted_acc.resize(
-            n,
-            Access {
-                block: 0,
-                write: false,
-                now: 0,
-            },
-        );
-        let mut cursor = offsets.clone();
-        for (i, acc) in accesses.iter().enumerate() {
-            let m = g.module_of(g.set_of(acc.block)) as usize;
-            let k = cursor[m] as usize;
-            cursor[m] += 1;
-            out.sorted_idx[k] = i as u32;
-            out.sorted_acc[k] = *acc;
-        }
-
-        // Build one shard per module: disjoint mutable slices of every
-        // parallel array, plus disjoint slices of the scratch accumulators.
-        let spm = g.sets_per_module() as usize;
-        let mut pos = std::mem::take(&mut out.pos_scratch);
-        pos.clear();
-        pos.resize(modules * a, 0);
-        let mut banks = std::mem::take(&mut out.bank_scratch);
-        banks.clear();
-        banks.resize(modules * g.banks as usize, 0);
-        let mut results = std::mem::take(&mut out.results);
-        results.clear();
-        results.resize(n, EMPTY_OUTCOME);
-
-        {
-            let rule = self.leader_rule;
-            let track_retention = self.track_retention;
-            let full = full_mask(g.ways);
-            let order_shards = self.order.shard_views(spm);
-            let mut shards: Vec<ModuleShard<'_>> = Vec::with_capacity(modules);
-            let mut tags_rest: &mut [u64] = &mut self.tags;
-            let mut bits_rest: &mut [SetBits] = &mut self.bits;
-            let mut lu_rest: &mut [u64] = &mut self.last_update;
-            let mut pos_rest: &mut [u64] = &mut pos;
-            let mut banks_rest: &mut [u64] = &mut banks;
-            let mut atd_chunks = self.atd.module_hits_chunks_mut();
-            for (m, order) in order_shards.into_iter().enumerate() {
-                let (tags, tr) = tags_rest.split_at_mut(spm * a);
-                tags_rest = tr;
-                let (bits, br) = bits_rest.split_at_mut(spm);
-                bits_rest = br;
-                let (last_update, lr) = lu_rest.split_at_mut(spm * a);
-                lu_rest = lr;
-                let (pos_hits, pr) = pos_rest.split_at_mut(a);
-                pos_rest = pr;
-                let (valid_per_bank, vr) = banks_rest.split_at_mut(g.banks as usize);
-                banks_rest = vr;
-                shards.push(ModuleShard {
-                    g,
-                    rule,
-                    track_retention,
-                    module: m as u16,
-                    first_set: (m * spm) as u32,
-                    active_mask: full_mask(self.module_ways[m]),
-                    full,
-                    tags,
-                    bits,
-                    last_update,
-                    order,
-                    atd_hits: atd_chunks.next().expect("one ATD chunk per module"),
-                    hits: 0,
-                    misses: 0,
-                    writebacks: 0,
-                    valid_delta: 0,
-                    pos_hits,
-                    valid_per_bank,
-                });
-            }
-
-            // Pair each shard with its slice of the sorted accesses and of
-            // the results buffer, then run — inline, or spread over worker
-            // threads (each job's state is disjoint, so any schedule
-            // produces the same bits).
-            let mut acc_rest: &[Access] = &out.sorted_acc;
-            let mut res_rest: &mut [AccessOutcome] = &mut results;
-            let mut jobs: Vec<(ModuleShard<'_>, &[Access], &mut [AccessOutcome])> =
-                Vec::with_capacity(modules);
-            for (m, shard) in shards.into_iter().enumerate() {
-                let take = out.counts[m] as usize;
-                let (acc, ar) = acc_rest.split_at(take);
-                acc_rest = ar;
-                let (res, rr) = res_rest.split_at_mut(take);
-                res_rest = rr;
-                jobs.push((shard, acc, res));
-            }
-            if threads > 1 && jobs.len() > 1 {
-                type ShardJob<'a, 'b> = (ModuleShard<'a>, &'b [Access], &'b mut [AccessOutcome]);
-                let jobs: Vec<std::sync::Mutex<ShardJob<'_, '_>>> =
-                    jobs.into_iter().map(std::sync::Mutex::new).collect();
-                let cfg = ParConfig {
-                    threads,
-                    label: String::new(),
-                    progress: false,
-                };
-                parallel_map_with(&cfg, &jobs, |job| {
-                    let mut j = job.lock().expect("shard job lock");
-                    let (shard, acc, res) = &mut *j;
-                    shard.run(acc, res);
-                    (
-                        shard.hits,
-                        shard.misses,
-                        shard.writebacks,
-                        shard.valid_delta,
-                    )
-                })
-                .into_iter()
-                .for_each(|(h, m, w, v)| {
-                    out.hits += h;
-                    out.misses += m;
-                    out.writebacks += w;
-                    self.valid_lines += v;
-                });
-            } else {
-                for (mut shard, acc, res) in jobs {
-                    shard.run(acc, res);
-                    out.hits += shard.hits;
-                    out.misses += shard.misses;
-                    out.writebacks += shard.writebacks;
-                    self.valid_lines += shard.valid_delta;
-                }
-            }
-        }
-
-        // Merge the scratch accumulators in fixed module order.
-        for m in 0..modules {
-            for p in 0..a {
-                out.pos_hits[p] += pos[m * a + p];
-            }
-            for b in 0..g.banks as usize {
-                self.valid_per_bank[b] += banks[m * g.banks as usize + b];
-            }
-        }
-        // Scatter outcomes back to input order.
-        out.outcomes.resize(base + n, EMPTY_OUTCOME);
-        for (res, &idx) in results.iter().zip(out.sorted_idx.iter()) {
-            out.outcomes[base + idx as usize] = *res;
-        }
-        out.pos_scratch = pos;
-        out.bank_scratch = banks;
-        out.results = results;
-    }
-
-    /// Folds a batch's deferred stats deltas into the cache's lifetime
-    /// counters in one go (the whole-batch consumers: fuzzer replays,
-    /// microbenches). The system simulator instead applies stats per
-    /// consumed access via [`SetAssocCache::apply_access_stats`].
-    pub fn commit_batch_stats(&mut self, out: &BatchOutcome) {
-        self.stats.hits += out.hits;
-        self.stats.misses += out.misses;
-        self.stats.writes += out.writes;
-        self.stats.writebacks += out.writebacks;
-        for (dst, &d) in self.stats.pos_hits.iter_mut().zip(out.pos_hits.iter()) {
-            *dst += d;
-        }
-    }
-
     /// Whether this cache qualifies for the compact
     /// [`SetAssocCache::access_batch_l1`] fast path: single module, single
     /// bank, no leader sampling, no retention clock, all ways active, and
@@ -618,14 +86,14 @@ impl SetAssocCache {
             && self.geom.ways <= 16
     }
 
-    /// Specialised [`SetAssocCache::access_batch`] for the L1 shape
+    /// Batched [`SetAssocCache::access`] for the L1 shape
     /// ([`SetAssocCache::supports_l1_batch`]): 8-byte packed inputs
     /// ([`encode_l1_access`]), byte-sized [`L1Rec`] outcomes appended to
     /// `out` (dirty-eviction block addresses go to `writebacks`, in access
     /// order), and an inner loop with the leader/ATD/retention/module
     /// branches compiled out. State effects are identical to the scalar
-    /// path; lifetime stats are deferred exactly like the general kernel —
-    /// apply per consumed access via [`SetAssocCache::apply_rec_stats`].
+    /// path; lifetime stats are deferred (see the module docs) — apply
+    /// them per consumed access via [`SetAssocCache::apply_rec_stats`].
     pub fn access_batch_l1(
         &mut self,
         encoded: &[u64],
@@ -753,8 +221,8 @@ impl SetAssocCache {
         self.valid_per_bank[0] += valid_delta;
     }
 
-    /// [`SetAssocCache::apply_access_stats`] for the compact fast path:
-    /// folds one consumed [`L1Rec`] into the lifetime counters.
+    /// Folds the deferred lifetime-stats deltas of one consumed [`L1Rec`]
+    /// (and its access's `write` flag) into the cache's counters.
     #[inline]
     pub fn apply_rec_stats(&mut self, rec: L1Rec, write: bool) {
         self.stats.writes += u64::from(write);
@@ -771,69 +239,8 @@ impl SetAssocCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::CacheGeometry;
     use proptest::prelude::*;
-
-    /// Drives `ops` through a scalar cache and a batch clone (in blocks),
-    /// asserting outcome-for-outcome and state-for-state equivalence.
-    fn check_equivalence(
-        geom: CacheGeometry,
-        leader_stride: Option<u32>,
-        track_retention: bool,
-        ops: &[(u64, bool)],
-        threads: usize,
-        block: usize,
-    ) {
-        let mut scalar = SetAssocCache::new(geom, leader_stride);
-        scalar.set_retention_tracking(track_retention);
-        let mut batched = scalar.clone();
-        let mut out = BatchOutcome::new();
-        let mut expected = Vec::new();
-        for (i, &(blk, write)) in ops.iter().enumerate() {
-            expected.push(scalar.access(blk, write, i as u64));
-        }
-        for (chunk_no, chunk) in ops.chunks(block).enumerate() {
-            let accesses: Vec<Access> = chunk
-                .iter()
-                .enumerate()
-                .map(|(j, &(blk, write))| Access {
-                    block: blk,
-                    write,
-                    now: (chunk_no * block + j) as u64,
-                })
-                .collect();
-            if threads > 1 {
-                batched.access_batch_threaded(&accesses, threads, &mut out);
-            } else {
-                batched.access_batch(&accesses, &mut out);
-            }
-        }
-        batched.commit_batch_stats(&out);
-        assert_eq!(out.outcomes, expected, "per-access outcomes diverged");
-        assert_eq!(batched.stats, scalar.stats, "stats diverged");
-        assert_eq!(batched.valid_lines(), scalar.valid_lines());
-        assert_eq!(
-            batched.valid_lines_per_bank(),
-            scalar.valid_lines_per_bank()
-        );
-        for set in 0..geom.sets {
-            for way in 0..geom.ways {
-                assert_eq!(
-                    batched.line(set, way),
-                    scalar.line(set, way),
-                    "line state diverged at set {set} way {way}"
-                );
-                assert_eq!(
-                    batched.lru_position_of(set, way),
-                    scalar.lru_position_of(set, way),
-                    "LRU order diverged at set {set} way {way}"
-                );
-            }
-        }
-        for m in 0..geom.modules {
-            assert_eq!(batched.atd.module_hits(m), scalar.atd.module_hits(m));
-        }
-        batched.assert_invariants();
-    }
 
     /// Address stream with heavy set reuse so hits, misses, evictions and
     /// writebacks all occur.
@@ -850,71 +257,6 @@ mod tests {
                 (geom.block_of(tag, set), x & 4 == 0)
             })
             .collect()
-    }
-
-    #[test]
-    fn single_module_matches_scalar() {
-        // The L1 shape: 1 bank, 1 module, no leaders, no retention clock.
-        let g = CacheGeometry::from_capacity(32 << 10, 4, 64, 1, 1);
-        let ops = stream(&g, 4000, 0xBEEF);
-        check_equivalence(g, None, false, &ops, 1, 256);
-    }
-
-    #[test]
-    fn multi_module_matches_scalar() {
-        // The L2 shape: leaders, modules, banks, retention clocks.
-        let g = CacheGeometry::from_capacity(64 << 10, 8, 64, 4, 8);
-        let ops = stream(&g, 6000, 0xD00D);
-        check_equivalence(g, Some(8), true, &ops, 1, 512);
-    }
-
-    #[test]
-    fn threaded_matches_scalar() {
-        let g = CacheGeometry::from_capacity(64 << 10, 8, 64, 4, 8);
-        let ops = stream(&g, 6000, 0xCAFE);
-        for threads in [2, 3, 8] {
-            check_equivalence(g, Some(8), true, &ops, threads, 512);
-        }
-    }
-
-    #[test]
-    fn reconfigured_modules_match_scalar() {
-        let g = CacheGeometry::from_capacity(64 << 10, 8, 64, 2, 4);
-        let ops = stream(&g, 3000, 0xFEED);
-        let mut scalar = SetAssocCache::new(g, Some(8));
-        let mut batched = scalar.clone();
-        // Shrink two modules so follower masks differ per module.
-        scalar.set_module_active_ways(1, 3, 0);
-        scalar.set_module_active_ways(2, 1, 0);
-        batched.set_module_active_ways(1, 3, 0);
-        batched.set_module_active_ways(2, 1, 0);
-        let mut out = BatchOutcome::new();
-        let mut expected = Vec::new();
-        for (i, &(blk, write)) in ops.iter().enumerate() {
-            expected.push(scalar.access(blk, write, i as u64));
-        }
-        let accesses: Vec<Access> = ops
-            .iter()
-            .enumerate()
-            .map(|(i, &(blk, write))| Access {
-                block: blk,
-                write,
-                now: i as u64,
-            })
-            .collect();
-        batched.access_batch_threaded(&accesses, 3, &mut out);
-        batched.commit_batch_stats(&out);
-        assert_eq!(out.outcomes, expected);
-        assert_eq!(batched.stats, scalar.stats);
-        batched.assert_invariants();
-    }
-
-    #[test]
-    fn wide_associativity_matches_scalar() {
-        // 20 ways exercises the byte-per-position (non-packed) LRU repr.
-        let g = CacheGeometry::try_from_capacity(20 * 64 * 64, 20, 64, 2, 4).unwrap();
-        let ops = stream(&g, 4000, 0x1234);
-        check_equivalence(g, Some(4), true, &ops, 2, 333);
     }
 
     /// Drives `ops` through a scalar cache and an `access_batch_l1` clone
@@ -1003,84 +345,22 @@ mod tests {
         assert!(!shrunk.supports_l1_batch());
     }
 
-    #[test]
-    fn shard_metrics_record_imbalance() {
-        use esteem_stats::Histogram;
-        use std::sync::Arc;
-        let g = CacheGeometry::from_capacity(1 << 20, 8, 64, 8, 16);
-        let mut c = SetAssocCache::new(g, Some(64));
-        let h = Arc::new(Histogram::new());
-        c.set_shard_metrics(Arc::clone(&h));
-        let acc: Vec<Access> = stream(&g, 4000, 0xBEEF)
-            .iter()
-            .enumerate()
-            .map(|(i, &(block, write))| Access {
-                block,
-                write,
-                now: i as u64,
-            })
-            .collect();
-        let mut out = BatchOutcome::new();
-        c.access_batch(&acc, &mut out);
-        let s = h.snapshot();
-        assert_eq!(s.count(), 1, "one imbalance sample per batch");
-        assert!(s.max() >= 100, "max/mean is at least 100%");
-        // The tap must not change outcomes: replay without metrics.
-        let mut plain = SetAssocCache::new(g, Some(64));
-        let mut out2 = BatchOutcome::new();
-        plain.access_batch(&acc, &mut out2);
-        assert_eq!(out.outcomes, out2.outcomes);
-        assert_eq!((out.hits, out.misses), (out2.hits, out2.misses));
-    }
-
-    #[test]
-    fn outcomes_append_and_clear() {
-        let g = CacheGeometry::from_capacity(32 << 10, 4, 64, 1, 1);
-        let mut c = SetAssocCache::new(g, None);
-        let mut out = BatchOutcome::new();
-        let acc = [Access {
-            block: 42,
-            write: false,
-            now: 0,
-        }];
-        c.access_batch(&acc, &mut out);
-        c.access_batch(&acc, &mut out);
-        assert_eq!(out.len(), 2);
-        assert!(!out.outcomes[0].hit);
-        assert!(out.outcomes[1].hit);
-        assert_eq!((out.hits, out.misses), (1, 1));
-        out.clear();
-        assert!(out.is_empty());
-        assert_eq!(out.hits, 0);
-        assert_eq!(c.stats.hits, 0, "stats are deferred until committed");
-    }
-
     proptest! {
-        /// Batch (serial and threaded) equals scalar for arbitrary small
-        /// configurations and access streams.
+        /// The L1 kernel equals the scalar path for arbitrary L1-shaped
+        /// geometries, access streams and refill block sizes.
         #[test]
         fn batch_equals_scalar(
-            sets_log in 3u32..=6,
-            ways in (0usize..8).prop_map(|i| [1u8, 2, 3, 4, 7, 8, 16, 17][i]),
-            modules in (0usize..3).prop_map(|i| [1u16, 2, 4][i]),
-            banks in (0usize..3).prop_map(|i| [1u8, 2, 4][i]),
-            stride in prop_oneof![
-                1 => (0u32..1).prop_map(|_| None),
-                3 => (0usize..5).prop_map(|i| Some([1u32, 2, 3, 8, 64][i])),
-            ],
-            track in any::<bool>(),
-            threads in 1usize..=4,
+            sets_log in 3u32..=7,
+            ways in 1u8..=16,
             seed in any::<u64>(),
             n in 1usize..400,
             block in 1usize..64,
         ) {
-            // sets >= 8 by construction, so modules (<= 4) and banks
-            // (<= 4) always divide the set count.
             let sets = 1u32 << sets_log;
             let capacity = u64::from(sets) * u64::from(ways) * 64;
-            let g = CacheGeometry::try_from_capacity(capacity, ways, 64, banks, modules).unwrap();
+            let g = CacheGeometry::try_from_capacity(capacity, ways, 64, 1, 1).unwrap();
             let ops = stream(&g, n, seed | 1);
-            check_equivalence(g, stride, track, &ops, threads, block);
+            check_l1_equivalence(g, &ops, block);
         }
     }
 }

@@ -240,127 +240,6 @@ impl OrderStore {
         let a = self.ways as usize;
         &bytes[set * a..(set + 1) * a]
     }
-
-    /// Splits the store into disjoint mutable views of `sets_per_shard`
-    /// consecutive sets each (the last shard may be shorter). Set indices
-    /// inside a shard are local (0 = the shard's first set). This is what
-    /// lets the batch kernel hand one module's recency state to one worker
-    /// thread without any locking: the views borrow non-overlapping ranges.
-    pub fn shard_views(&mut self, sets_per_shard: usize) -> Vec<OrderShard<'_>> {
-        assert!(sets_per_shard > 0);
-        let a = self.ways as usize;
-        match &mut self.repr {
-            Repr::Packed(words) => words
-                .chunks_mut(sets_per_shard)
-                .map(OrderShard::Packed)
-                .collect(),
-            Repr::Wide(bytes) => bytes
-                .chunks_mut(sets_per_shard * a)
-                .map(|chunk| OrderShard::Wide {
-                    bytes: chunk,
-                    ways: a,
-                })
-                .collect(),
-        }
-    }
-}
-
-/// Mutable recency view over one shard's contiguous run of sets (see
-/// [`OrderStore::shard_views`]). Operations mirror [`OrderStore`] exactly,
-/// with shard-local set indices.
-#[derive(Debug)]
-pub enum OrderShard<'a> {
-    Packed(&'a mut [u64]),
-    Wide { bytes: &'a mut [u8], ways: usize },
-}
-
-impl OrderShard<'_> {
-    #[inline]
-    pub fn position_of(&self, set: usize, way: u8) -> u8 {
-        match self {
-            OrderShard::Packed(words) => packed_position_of(words[set], way),
-            OrderShard::Wide { bytes, ways } => {
-                position_of(&bytes[set * ways..(set + 1) * ways], way)
-            }
-        }
-    }
-
-    #[inline]
-    pub fn touch(&mut self, set: usize, way: u8) {
-        match self {
-            OrderShard::Packed(words) => words[set] = packed_touch(words[set], way),
-            OrderShard::Wide { bytes, ways } => {
-                touch(&mut bytes[set * *ways..(set + 1) * *ways], way)
-            }
-        }
-    }
-
-    #[inline]
-    pub fn touch_returning_pos(&mut self, set: usize, way: u8) -> u8 {
-        match self {
-            OrderShard::Packed(words) => {
-                let word = words[set];
-                let p = packed_position_of(word, way);
-                let shift = 4 * u32::from(p);
-                let below = word & ((1u64 << shift) - 1);
-                let above = word & (!0u64).checked_shl(shift + 4).unwrap_or(0);
-                words[set] = above | (below << 4) | u64::from(way);
-                p
-            }
-            OrderShard::Wide { bytes, ways } => {
-                let order = &mut bytes[set * *ways..(set + 1) * *ways];
-                let p = position_of(order, way);
-                order.copy_within(0..p as usize, 1);
-                order[0] = way;
-                p
-            }
-        }
-    }
-
-    #[inline]
-    pub fn lru_victim(&self, set: usize, mask: u64, ways: u8) -> Option<u8> {
-        match self {
-            OrderShard::Packed(words) => {
-                let word = words[set];
-                for p in (0..u32::from(ways)).rev() {
-                    let w = ((word >> (4 * p)) & 0xF) as u8;
-                    if mask & (1u64 << w) != 0 {
-                        return Some(w);
-                    }
-                }
-                None
-            }
-            OrderShard::Wide { bytes, ways } => {
-                lru_victim(&bytes[set * ways..(set + 1) * ways], mask)
-            }
-        }
-    }
-
-    #[inline]
-    pub fn find_from_lru(
-        &self,
-        set: usize,
-        ways: u8,
-        mut pred: impl FnMut(u8) -> bool,
-    ) -> Option<u8> {
-        match self {
-            OrderShard::Packed(words) => {
-                let word = words[set];
-                for p in (0..u32::from(ways)).rev() {
-                    let w = ((word >> (4 * p)) & 0xF) as u8;
-                    if pred(w) {
-                        return Some(w);
-                    }
-                }
-                None
-            }
-            OrderShard::Wide { bytes, ways } => bytes[set * ways..(set + 1) * ways]
-                .iter()
-                .rev()
-                .copied()
-                .find(|&w| pred(w)),
-        }
-    }
 }
 
 #[cfg(test)]

@@ -9,7 +9,9 @@
 //! operation streams from `--seed`, runs each through the optimized stack
 //! and the oracle in lockstep, and for every divergence writes a minimized
 //! reproducer JSON into `--out` (default `results/repros/`). Each case
-//! also fuzzes Algorithm 1 against its reference transcription. Exit code
+//! also fuzzes Algorithm 1 against its reference transcription. The
+//! summary line reports the cases actually run and how many of them were
+//! L1-shaped, i.e. also replayed through the L1 batch kernel. Exit code
 //! is nonzero iff any divergence was found.
 //!
 //! Replay mode: `--replay FILE` re-runs one saved reproducer and reports
@@ -19,7 +21,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use esteem_check::fuzz::{case_rng, gen_algo1_case, gen_case};
-use esteem_check::lockstep::{install_quiet_panic_hook, run_case};
+use esteem_check::lockstep::{install_quiet_panic_hook, run_case, run_case_report};
 use esteem_check::minimize::minimize;
 use esteem_check::{oracle_algorithm1, repro};
 use esteem_core::esteem::algorithm1;
@@ -88,9 +90,16 @@ fn main() -> ExitCode {
 
     install_quiet_panic_hook();
     let mut divergences = 0usize;
+    // Cases actually run (`--max-divergences` can stop the loop early),
+    // and how many of them engaged the L1 replica.
+    let mut ran = 0u64;
+    let mut l1_shaped = 0u64;
     for i in 0..args.cases {
         let case = gen_case(&mut case_rng(args.seed, i));
-        if let Some(raw) = run_case(&case) {
+        let report = run_case_report(&case);
+        ran += 1;
+        l1_shaped += u64::from(report.l1_accesses.is_some());
+        if let Some(raw) = report.divergence {
             divergences += 1;
             eprintln!("case {i} (seed {}): {raw}", args.seed);
             let (min, div) = minimize(&case);
@@ -146,14 +155,14 @@ fn main() -> ExitCode {
 
     if divergences == 0 {
         println!(
-            "esteem-check: {} cases (seed {}), zero divergences",
-            args.cases, args.seed
+            "esteem-check: {ran} cases ({l1_shaped} L1-shaped), seed {}, zero divergences",
+            args.seed
         );
         ExitCode::SUCCESS
     } else {
         println!(
-            "esteem-check: {divergences} divergence(s) over {} cases (seed {}); reproducers in {}",
-            args.cases,
+            "esteem-check: {divergences} divergence(s) over {ran} cases ({l1_shaped} L1-shaped), \
+             seed {}; reproducers in {}",
             args.seed,
             args.out.display()
         );

@@ -5,6 +5,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
+use crate::lockstep::is_l1_shaped;
 use crate::oracle::{CaseConfig, CheckPolicy};
 
 /// One operation of a lockstep run. Cycle time is carried as *deltas* so
@@ -44,27 +45,45 @@ pub fn case_rng(seed: u64, index: u64) -> SmallRng {
 /// wide-LRU counts), leader strides (power-of-two and not, larger than
 /// the set count, or absent), phase counts, retention periods — is drawn
 /// broadly to reach representation corners.
+///
+/// A fixed 1-in-8 share of cases takes the L1 shape instead (one module,
+/// one bank, no leaders, a periodic policy, at most 16 ways), so the
+/// lockstep L1 replica engages on them. No L1-shaped case gets a
+/// `Reconfig` op, because the simulator never reconfigures an L1.
 pub fn gen_case(rng: &mut SmallRng) -> Case {
+    let l1 = rng.gen_range(0u32..8) == 0;
     let sets: u32 = 1 << rng.gen_range(3u32..=7);
-    let ways: u8 = *pick(rng, &[1, 2, 3, 4, 4, 5, 7, 8, 8, 12, 16, 17, 20]);
-    let modules: u16 = std::cmp::min(1 << rng.gen_range(0u16..=3), sets as u16);
-    let banks: u8 = *pick(rng, &[1, 2, 4]);
-    let leader_stride = if rng.gen_bool(0.25) {
+    let ways: u8 = if l1 {
+        *pick(rng, &[1, 2, 3, 4, 4, 5, 7, 8, 8, 12, 16])
+    } else {
+        *pick(rng, &[1, 2, 3, 4, 4, 5, 7, 8, 8, 12, 16, 17, 20])
+    };
+    let modules: u16 = if l1 {
+        1
+    } else {
+        std::cmp::min(1 << rng.gen_range(0u16..=3), sets as u16)
+    };
+    let banks: u8 = if l1 { 1 } else { *pick(rng, &[1, 2, 4]) };
+    let leader_stride = if l1 || rng.gen_bool(0.25) {
         None
     } else {
         Some(*pick(rng, &[1u32, 2, 3, 4, 5, 7, 8, 16, 64, 257]))
     };
-    let policy = *pick(
-        rng,
-        &[
-            CheckPolicy::PeriodicAll,
-            CheckPolicy::PeriodicValid,
-            CheckPolicy::PolyphaseValid,
-            CheckPolicy::PolyphaseValid,
-            CheckPolicy::PolyphaseDirty,
-            CheckPolicy::PolyphaseDirty,
-        ],
-    );
+    let policy = if l1 {
+        *pick(rng, &[CheckPolicy::PeriodicAll, CheckPolicy::PeriodicValid])
+    } else {
+        *pick(
+            rng,
+            &[
+                CheckPolicy::PeriodicAll,
+                CheckPolicy::PeriodicValid,
+                CheckPolicy::PolyphaseValid,
+                CheckPolicy::PolyphaseValid,
+                CheckPolicy::PolyphaseDirty,
+                CheckPolicy::PolyphaseDirty,
+            ],
+        )
+    };
     let phases: u8 = if policy.is_polyphase() {
         rng.gen_range(1u8..=6)
     } else {
@@ -83,10 +102,13 @@ pub fn gen_case(rng: &mut SmallRng) -> Case {
         phases,
     };
 
+    // The general draw can land on the L1 shape too; rolls of 85 and up
+    // are reconfigurations, so L1-shaped cases roll below that.
+    let roll_max = if is_l1_shaped(&config) { 85 } else { 100 };
     let n_ops = rng.gen_range(1usize..=160);
     let mut ops = Vec::with_capacity(n_ops);
     for _ in 0..n_ops {
-        let roll = rng.gen_range(0u32..100);
+        let roll = rng.gen_range(0u32..roll_max);
         if roll < 70 {
             // Small tag space so sets refill, collide, and evict.
             let set = rng.gen_range(0u32..sets);
@@ -192,5 +214,26 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// About one case in eight is L1-shaped (the dedicated 1-in-8 draw
+    /// plus the rare general draw that lands on the shape), and none of
+    /// those reconfigures the cache.
+    #[test]
+    fn l1_shaped_share_and_no_reconfig() {
+        let n = 4000;
+        let mut l1 = 0;
+        for i in 0..n {
+            let case = gen_case(&mut case_rng(0, i));
+            if is_l1_shaped(&case.config) {
+                l1 += 1;
+                assert!(
+                    !case.ops.iter().any(|op| matches!(op, Op::Reconfig { .. })),
+                    "L1-shaped case {i} reconfigures"
+                );
+            }
+        }
+        let share = f64::from(l1) / n as f64;
+        assert!((0.10..=0.16).contains(&share), "L1-shaped share {share}");
     }
 }

@@ -16,7 +16,12 @@
 //! * per-advance: refresh and invalidation counts, drained per-bank
 //!   refresh windows, full line-state equality (valid/dirty/tag/retention
 //!   clock), way masks, ATD counters, and the eq. 2–8 energy identities
-//!   evaluated over both sides' counters.
+//!   evaluated over both sides' counters;
+//! * for L1-shaped cases, the L1 batch kernel the simulator runs
+//!   (`access_batch_l1`) on a replica: per access, hit, hit position and
+//!   write-back block address against the scalar path; per advance, the
+//!   folded lifetime counters and occupancy; at the end, every line and
+//!   LRU position.
 //!
 //! Any mismatch — or a panic out of the optimized stack, which the
 //! `strict-invariants` feature makes far more likely by promoting internal

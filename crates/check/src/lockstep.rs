@@ -14,27 +14,30 @@
 //! `strict-invariants` assert) is caught and reported as a divergence at
 //! the op that raised it, so it minimizes like any mismatch.
 //!
-//! Besides the scalar path, every op stream is also replayed through the
-//! struct-of-arrays batch kernel — once serially via
-//! [`SetAssocCache::access_batch`] and once over three worker threads via
-//! [`SetAssocCache::access_batch_threaded`] — on independent cache+engine
-//! replicas (`BatchReplica`). Accesses accumulate between comparison
-//! points and flush as one block (the way the simulator's front end feeds
-//! the kernel), per-access outcomes are compared element-wise against the
-//! scalar path's, and at every advance the replicas' counters, occupancy
-//! and refresh windows must match too. A batch-kernel bug therefore
-//! minimizes to a repro exactly like an oracle mismatch.
+//! Every case whose fresh cache has the L1 shape
+//! ([`SetAssocCache::supports_l1_batch`]: one module, one bank, no leader
+//! sampling, no retention clock, at most 16 ways) is also replayed
+//! through [`SetAssocCache::access_batch_l1`], the kernel every simulated
+//! bundle goes through, on an independent replica cache (`L1Replica`).
+//! Accesses buffer between `Advance` ops and flush as one block (the way
+//! the simulator's front end feeds its refill blocks). Each record is
+//! compared against the scalar path's outcome (hit, hit position,
+//! write-back block address); at every flush the lifetime counters folded
+//! with [`SetAssocCache::apply_rec_stats`] and the occupancy must match,
+//! and the end of the case sweeps every line and LRU position. The
+//! simulator never reconfigures an L1, so a `Reconfig` op ends the
+//! replica's coverage: it flushes, sweeps and retires. A kernel bug
+//! therefore minimizes to a repro exactly like an oracle mismatch.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use esteem_cache::batch::{Access, BatchOutcome};
-use esteem_cache::{AccessOutcome, CacheGeometry, SetAssocCache};
+use esteem_cache::{encode_l1_access, AccessOutcome, CacheGeometry, L1Rec, SetAssocCache};
 use esteem_edram::{RefreshEngine, RefreshPolicy, RetentionSpec};
 use esteem_energy::{EnergyBreakdown, EnergyInputs, EnergyParams};
 
 use crate::fuzz::{Case, Op};
-use crate::oracle::{CheckPolicy, OracleModel};
+use crate::oracle::{CaseConfig, CheckPolicy, OracleModel};
 use crate::Divergence;
 
 thread_local! {
@@ -62,14 +65,33 @@ pub fn to_refresh_policy(policy: CheckPolicy, phases: u8) -> RefreshPolicy {
     }
 }
 
+/// What [`run_case_report`] learned from one case.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CaseReport {
+    /// The first divergence (or caught panic); `None` means the optimized
+    /// stack and the oracle agreed on every compared observable.
+    pub divergence: Option<Divergence>,
+    /// Accesses the L1 replica ran through `access_batch_l1`; `None` when
+    /// the case's cache is not L1-shaped and the replica never engaged.
+    pub l1_accesses: Option<u64>,
+}
+
 /// Runs one case to completion; `Some` carries the first divergence (or
 /// caught panic), `None` means the optimized stack and the oracle agreed
 /// on every compared observable.
 pub fn run_case(case: &Case) -> Option<Divergence> {
+    run_case_report(case).divergence
+}
+
+/// [`run_case`], also reporting whether and how far the L1 replica ran.
+pub fn run_case_report(case: &Case) -> CaseReport {
     LAST_PANIC.with(|c| *c.borrow_mut() = None);
     let op_index = RefCell::new(0usize);
-    let result = catch_unwind(AssertUnwindSafe(|| run_case_inner(case, &op_index)));
-    match result {
+    let l1_accesses = Cell::new(None);
+    let result = catch_unwind(AssertUnwindSafe(|| {
+        run_case_inner(case, &op_index, &l1_accesses)
+    }));
+    let divergence = match result {
         Ok(d) => d,
         Err(payload) => {
             let msg = LAST_PANIC
@@ -88,7 +110,35 @@ pub fn run_case(case: &Case) -> Option<Divergence> {
                 got: msg,
             })
         }
+    };
+    CaseReport {
+        divergence,
+        l1_accesses: l1_accesses.get(),
     }
+}
+
+/// The optimized side's cache for `cfg`, built the way the simulator
+/// builds one: per-access retention clocks only for the policies that
+/// read them.
+fn fresh_cache(cfg: &CaseConfig) -> SetAssocCache {
+    let geom = CacheGeometry {
+        sets: cfg.sets,
+        ways: cfg.ways,
+        line_bytes: 64,
+        banks: cfg.banks,
+        modules: cfg.modules,
+        tag_bits: 40,
+    };
+    geom.validate();
+    let mut cache = SetAssocCache::new(geom, cfg.leader_stride);
+    cache.set_retention_tracking(cfg.policy.is_polyphase());
+    cache
+}
+
+/// Whether a case with config `cfg` engages the L1 replica, i.e. its
+/// fresh cache has the shape the L1 batch kernel accepts.
+pub(crate) fn is_l1_shaped(cfg: &CaseConfig) -> bool {
+    fresh_cache(cfg).supports_l1_batch()
 }
 
 macro_rules! diff {
@@ -105,7 +155,7 @@ macro_rules! diff {
     }};
 }
 
-struct Harness {
+struct Harness<'a> {
     cache: SetAssocCache,
     engine: RefreshEngine,
     oracle: OracleModel,
@@ -117,243 +167,99 @@ struct Harness {
     /// Accumulated reconfiguration write-backs per side (part of `A_MM`).
     opt_reconf_wb: u64,
     ora_reconf_wb: u64,
-    /// Scalar-path outcomes (already oracle-checked) since the last batch
-    /// flush, with the op index each came from — the reference the batch
-    /// replicas are compared against, element-wise and in input order.
-    pending_expected: Vec<AccessOutcome>,
-    pending_at: Vec<usize>,
-    /// The batch-kernel replicas: serial, and three worker threads.
-    replicas: [BatchReplica; 2],
-    /// Scalar engine's drained per-bank window from the latest advance,
-    /// stashed by `compare_full` for the replica comparison.
-    last_banks: Vec<u64>,
+    /// The L1 batch-kernel replica, while engaged.
+    l1: Option<L1Replica>,
+    /// Accesses the replica has run so far (`None`: never engaged).
+    l1_accesses: &'a Cell<Option<u64>>,
 }
 
-/// An independent cache + refresh-engine pair fed exclusively through the
-/// batch kernel. Accesses buffer in `pending` and flush as one block at
-/// every comparison point, mirroring how the simulator's front end hands
-/// whole refill blocks to [`SetAssocCache::access_batch`].
-struct BatchReplica {
-    /// Divergence field prefix (`batch` / `batch3`).
-    tag: &'static str,
-    threads: usize,
+/// An independent cache fed exclusively through the L1 batch kernel. It
+/// has no refresh engine: the simulator's L1s have none, and the periodic
+/// policies an L1-shaped case runs never touch the scalar side's lines.
+struct L1Replica {
     cache: SetAssocCache,
-    engine: RefreshEngine,
-    pending: Vec<Access>,
-    out: BatchOutcome,
-    feed: Vec<(AccessOutcome, u64)>,
-    /// Lifetime stats accumulated from the per-flush `BatchOutcome`
-    /// deltas (the kernel defers stats rather than writing
-    /// `cache.stats`), compared against the scalar side's lifetime
-    /// counters at every advance.
-    hits: u64,
-    misses: u64,
-    writes: u64,
-    writebacks: u64,
-    pos_hits: Vec<u64>,
+    /// Encoded accesses since the last flush, each with the scalar path's
+    /// (already oracle-checked) outcome and the op index it came from.
+    pending: Vec<u64>,
+    expected: Vec<AccessOutcome>,
+    ats: Vec<usize>,
+    recs: Vec<L1Rec>,
+    wbs: Vec<u64>,
 }
 
-impl BatchReplica {
-    fn new(
-        tag: &'static str,
-        threads: usize,
-        geom: CacheGeometry,
-        leader_stride: Option<u32>,
-        policy: RefreshPolicy,
-        retention: u64,
-    ) -> Self {
-        let mut cache = SetAssocCache::new(geom, leader_stride);
-        cache.set_retention_tracking(policy.is_polyphase());
-        let engine = RefreshEngine::new(
-            policy,
-            RetentionSpec {
-                period_cycles: retention,
-            },
-            &cache,
-        );
+impl L1Replica {
+    fn new(cache: &SetAssocCache) -> Self {
         Self {
-            tag,
-            threads,
-            cache,
-            engine,
+            cache: cache.clone(),
             pending: Vec::new(),
-            out: BatchOutcome::new(),
-            feed: Vec::new(),
-            hits: 0,
-            misses: 0,
-            writes: 0,
-            writebacks: 0,
-            pos_hits: vec![0; geom.ways as usize],
+            expected: Vec::new(),
+            ats: Vec::new(),
+            recs: Vec::new(),
+            wbs: Vec::new(),
         }
     }
 
-    /// Runs the buffered accesses through the batch kernel and compares
-    /// each outcome against the scalar path's, then forwards the block to
-    /// the refresh engine exactly like the simulator's feed drain.
-    fn flush(&mut self, expected: &[AccessOutcome], ats: &[usize]) -> Option<Divergence> {
-        debug_assert_eq!(self.pending.len(), expected.len());
-        if self.pending.is_empty() {
-            return None;
-        }
-        self.out.clear();
+    /// Runs the buffered accesses through the kernel, compares each
+    /// record against the scalar outcome and folds its stats, then checks
+    /// lifetime counters and occupancy against the scalar cache.
+    fn flush(&mut self, at: usize, scalar: &SetAssocCache) -> Option<Divergence> {
+        self.recs.clear();
+        self.wbs.clear();
         self.cache
-            .access_batch_threaded(&self.pending, self.threads, &mut self.out);
-        self.feed.clear();
-        for (i, (acc, got)) in self
-            .pending
-            .iter()
-            .zip(self.out.outcomes.iter())
-            .enumerate()
-        {
-            diff!(ats[i], format!("{}.outcome", self.tag), expected[i], *got);
-            self.feed.push((*got, acc.now));
+            .access_batch_l1(&self.pending, &mut self.recs, &mut self.wbs);
+        let mut wbs = self.wbs.iter().copied();
+        for (i, &rec) in self.recs.iter().enumerate() {
+            let (want, op) = (self.expected[i], self.ats[i]);
+            diff!(op, "l1.hit", want.hit, rec.hit());
+            if want.hit {
+                diff!(op, "l1.hit_pos", want.hit_pos, rec.hit_pos());
+            }
+            let wb = if rec.has_writeback() {
+                wbs.next()
+            } else {
+                None
+            };
+            diff!(op, "l1.writeback", want.writeback, wb);
+            self.cache.apply_rec_stats(rec, self.pending[i] & 1 != 0);
         }
-        self.engine.on_access_batch(&self.feed);
-        self.hits += self.out.hits;
-        self.misses += self.out.misses;
-        self.writes += self.out.writes;
-        self.writebacks += self.out.writebacks;
-        for (dst, &d) in self.pos_hits.iter_mut().zip(self.out.pos_hits.iter()) {
-            *dst += d;
-        }
+        diff!(at, "l1.stray_writebacks", 0, wbs.count());
         self.pending.clear();
-        None
-    }
-
-    /// Applies a reconfiguration and checks it matched the scalar side's.
-    fn reconfig(
-        &mut self,
-        at: usize,
-        module: u16,
-        ways: u8,
-        now: u64,
-        expected: esteem_cache::ReconfigOutcome,
-    ) -> Option<Divergence> {
-        let got = self.cache.set_module_active_ways(module, ways, now);
-        diff!(at, format!("{}.reconfig", self.tag), expected, got);
-        None
-    }
-
-    /// Advances refresh and compares every replica observable against the
-    /// scalar side: refresh work done, lifetime counters, occupancy, and
-    /// the drained per-bank windows.
-    fn advance(
-        &mut self,
-        at: usize,
-        now: u64,
-        scalar: &SetAssocCache,
-        scalar_engine_banks: &[u64],
-        expected_refreshes: u64,
-        expected_invalidations: u64,
-    ) -> Option<Divergence> {
-        let rep = self.engine.advance(&mut self.cache, now);
+        self.expected.clear();
+        self.ats.clear();
+        diff!(at, "l1.stats", scalar.stats, self.cache.stats);
         diff!(
             at,
-            format!("{}.advance.refreshes", self.tag),
-            expected_refreshes,
-            rep.refreshes
-        );
-        diff!(
-            at,
-            format!("{}.advance.invalidations", self.tag),
-            expected_invalidations,
-            rep.invalidations
-        );
-        diff!(
-            at,
-            format!("{}.hits", self.tag),
-            scalar.stats.hits,
-            self.hits
-        );
-        diff!(
-            at,
-            format!("{}.misses", self.tag),
-            scalar.stats.misses,
-            self.misses
-        );
-        diff!(
-            at,
-            format!("{}.writes", self.tag),
-            scalar.stats.writes,
-            self.writes
-        );
-        diff!(
-            at,
-            format!("{}.writebacks", self.tag),
-            scalar.stats.writebacks,
-            self.writebacks
-        );
-        diff!(
-            at,
-            format!("{}.pos_hits", self.tag),
-            scalar.stats.pos_hits,
-            self.pos_hits
-        );
-        diff!(
-            at,
-            format!("{}.valid_lines", self.tag),
+            "l1.valid_lines",
             scalar.valid_lines(),
             self.cache.valid_lines()
         );
         diff!(
             at,
-            format!("{}.valid_per_bank", self.tag),
+            "l1.valid_per_bank",
             scalar.valid_lines_per_bank(),
             self.cache.valid_lines_per_bank()
-        );
-        diff!(
-            at,
-            format!("{}.module_ways", self.tag),
-            scalar.module_ways(),
-            self.cache.module_ways()
-        );
-        let banks = self.engine.drain_bank_refreshes();
-        diff!(
-            at,
-            format!("{}.bank_window", self.tag),
-            scalar_engine_banks,
-            banks
         );
         None
     }
 
-    /// Final whole-state sweep against the scalar cache (run once, after
-    /// the closing flush): any silent state skew the outcome comparison
-    /// missed surfaces here at the latest.
-    fn compare_lines(&self, at: usize, scalar: &SetAssocCache, track: bool) -> Option<Divergence> {
+    /// Whole-state sweep against the scalar cache (after the last flush):
+    /// any silent state skew the record comparison missed surfaces here.
+    fn compare_lines(&self, at: usize, scalar: &SetAssocCache) -> Option<Divergence> {
         let g = scalar.geometry();
         for set in 0..g.sets {
             for way in 0..g.ways {
-                let want = scalar.line(set, way);
-                let got = self.cache.line(set, way);
                 diff!(
                     at,
-                    format!("{}.line[{set}][{way}].valid", self.tag),
-                    want.valid,
-                    got.valid
+                    format!("l1.line[{set}][{way}]"),
+                    scalar.line(set, way),
+                    self.cache.line(set, way)
                 );
-                if want.valid {
-                    diff!(
-                        at,
-                        format!("{}.line[{set}][{way}].dirty", self.tag),
-                        want.dirty,
-                        got.dirty
-                    );
-                    diff!(
-                        at,
-                        format!("{}.line[{set}][{way}].tag", self.tag),
-                        want.tag,
-                        got.tag
-                    );
-                    if track {
-                        diff!(
-                            at,
-                            format!("{}.line[{set}][{way}].last_update", self.tag),
-                            want.last_update,
-                            got.last_update
-                        );
-                    }
-                }
+                diff!(
+                    at,
+                    format!("l1.lru_pos[{set}][{way}]"),
+                    scalar.lru_position_of(set, way),
+                    self.cache.lru_position_of(set, way)
+                );
             }
         }
         self.cache.assert_invariants();
@@ -361,22 +267,33 @@ impl BatchReplica {
     }
 }
 
-fn run_case_inner(case: &Case, op_index: &RefCell<usize>) -> Option<Divergence> {
-    let cfg = &case.config;
-    let geom = CacheGeometry {
-        sets: cfg.sets,
-        ways: cfg.ways,
-        line_bytes: 64,
-        banks: cfg.banks,
-        modules: cfg.modules,
-        tag_bits: 40,
+/// Flushes the L1 replica, if engaged; with `retire` it also sweeps every
+/// line and then disengages.
+fn flush_l1(h: &mut Harness, at: usize, retire: bool) -> Option<Divergence> {
+    let Some(r) = &mut h.l1 else {
+        return None;
     };
-    geom.validate();
-    let mut cache = SetAssocCache::new(geom, cfg.leader_stride);
+    let n = r.pending.len() as u64;
+    h.l1_accesses.set(h.l1_accesses.get().map(|c| c + n));
+    if let Some(d) = r.flush(at, &h.cache) {
+        return Some(d);
+    }
+    if retire {
+        let d = r.compare_lines(at, &h.cache);
+        h.l1 = None;
+        return d;
+    }
+    None
+}
+
+fn run_case_inner(
+    case: &Case,
+    op_index: &RefCell<usize>,
+    l1_accesses: &Cell<Option<u64>>,
+) -> Option<Divergence> {
+    let cfg = &case.config;
+    let cache = fresh_cache(cfg);
     let policy = to_refresh_policy(cfg.policy, cfg.phases);
-    // Mirror the simulator: per-access retention clocks are maintained
-    // only for policies that read them.
-    cache.set_retention_tracking(policy.is_polyphase());
     let engine = RefreshEngine::new(
         policy,
         RetentionSpec {
@@ -384,8 +301,12 @@ fn run_case_inner(case: &Case, op_index: &RefCell<usize>) -> Option<Divergence> 
         },
         &cache,
     );
+    let l1 = cache.supports_l1_batch().then(|| L1Replica::new(&cache));
+    if l1.is_some() {
+        l1_accesses.set(Some(0));
+    }
     let mut h = Harness {
-        params: EnergyParams::for_l2_capacity(geom.capacity_bytes()),
+        params: EnergyParams::for_l2_capacity(cache.geometry().capacity_bytes()),
         cache,
         engine,
         oracle: OracleModel::new(cfg),
@@ -394,13 +315,8 @@ fn run_case_inner(case: &Case, op_index: &RefCell<usize>) -> Option<Divergence> 
         ora_transitions: 0,
         opt_reconf_wb: 0,
         ora_reconf_wb: 0,
-        pending_expected: Vec::new(),
-        pending_at: Vec::new(),
-        replicas: [
-            BatchReplica::new("batch", 1, geom, cfg.leader_stride, policy, cfg.retention),
-            BatchReplica::new("batch3", 3, geom, cfg.leader_stride, policy, cfg.retention),
-        ],
-        last_banks: Vec::new(),
+        l1,
+        l1_accesses,
     };
 
     for (at, op) in case.ops.iter().enumerate() {
@@ -432,20 +348,16 @@ fn run_case_inner(case: &Case, op_index: &RefCell<usize>) -> Option<Divergence> 
                     );
                     diff!(at, "access.writeback", ora.writeback, opt.writeback);
                 }
-                // Queue for the batch replicas; they flush as one block at
-                // the next reconfig/advance, like the simulator's refill.
-                for r in &mut h.replicas {
-                    r.pending.push(Access {
-                        block,
-                        write,
-                        now: h.now,
-                    });
+                // Queue for the L1 replica; it flushes as one block at the
+                // next advance, like the simulator's refill.
+                if let Some(r) = &mut h.l1 {
+                    r.pending.push(encode_l1_access(block, write));
+                    r.expected.push(opt);
+                    r.ats.push(at);
                 }
-                h.pending_expected.push(opt);
-                h.pending_at.push(at);
             }
             Op::Reconfig { module, ways } => {
-                if let Some(d) = flush_replicas(&mut h) {
+                if let Some(d) = flush_l1(&mut h, at, true) {
                     return Some(d);
                 }
                 let opt = h.cache.set_module_active_ways(module, ways, h.now);
@@ -468,11 +380,6 @@ fn run_case_inner(case: &Case, op_index: &RefCell<usize>) -> Option<Divergence> 
                     h.oracle.module_ways(),
                     h.cache.module_ways()
                 );
-                for r in &mut h.replicas {
-                    if let Some(d) = r.reconfig(at, module, ways, h.now, opt) {
-                        return Some(d);
-                    }
-                }
             }
             Op::Advance { dcycles } => {
                 h.now += dcycles;
@@ -484,42 +391,18 @@ fn run_case_inner(case: &Case, op_index: &RefCell<usize>) -> Option<Divergence> 
     }
 
     // Final flush: push every pending refresh through, then do one last
-    // full-state comparison — including the whole-cache sweep of each
-    // batch replica against the scalar cache.
+    // full-state comparison, and sweep the L1 replica against the scalar
+    // cache.
     let at = case.ops.len();
     *op_index.borrow_mut() = at;
     h.now += 3 * cfg.retention;
     if let Some(d) = advance_and_compare(&mut h, at) {
         return Some(d);
     }
-    let track = cfg.policy.is_polyphase();
-    for r in &h.replicas {
-        if let Some(d) = r.compare_lines(at, &h.cache, track) {
-            return Some(d);
-        }
-    }
-    None
-}
-
-/// Flushes both batch replicas against the scalar outcomes accumulated
-/// since the previous flush.
-fn flush_replicas(h: &mut Harness) -> Option<Divergence> {
-    for r in &mut h.replicas {
-        if let Some(d) = r.flush(&h.pending_expected, &h.pending_at) {
-            return Some(d);
-        }
-    }
-    h.pending_expected.clear();
-    h.pending_at.clear();
-    None
+    flush_l1(&mut h, at, true)
 }
 
 fn advance_and_compare(h: &mut Harness, at: usize) -> Option<Divergence> {
-    // Batch replicas flush their buffered block before the refresh engine
-    // advances, matching the simulator's drain-feeds-then-advance order.
-    if let Some(d) = flush_replicas(h) {
-        return Some(d);
-    }
     let rep = h.engine.advance(&mut h.cache, h.now);
     let (ora_r, ora_i) = h.oracle.advance_refresh(h.now);
     diff!(at, "advance.refreshes", ora_r, rep.refreshes);
@@ -527,19 +410,9 @@ fn advance_and_compare(h: &mut Harness, at: usize) -> Option<Divergence> {
     if let Some(d) = compare_full(h, at) {
         return Some(d);
     }
-    // The scalar side checked out against the oracle; now each replica
-    // advances and must match the scalar results exactly.
-    let banks = std::mem::take(&mut h.last_banks);
-    let now = h.now;
-    let Harness {
-        cache, replicas, ..
-    } = h;
-    for r in replicas.iter_mut() {
-        if let Some(d) = r.advance(at, now, cache, &banks, rep.refreshes, rep.invalidations) {
-            return Some(d);
-        }
-    }
-    None
+    // The scalar side checked out against the oracle; now the L1 replica
+    // runs its buffered block and must match the scalar side exactly.
+    flush_l1(h, at, false)
 }
 
 /// The post-advance whole-state comparison.
@@ -608,8 +481,6 @@ fn compare_full(h: &mut Harness, at: usize) -> Option<Divergence> {
     let ora_banks = h.oracle.drain_bank_refreshes();
     let opt_banks = h.engine.drain_bank_refreshes();
     diff!(at, "refresh.bank_window", ora_banks, opt_banks);
-    // Stash for the batch-replica comparison in `advance_and_compare`.
-    h.last_banks = opt_banks;
 
     // Full line-state sweep.
     let track = cfg.policy.is_polyphase();
@@ -731,7 +602,65 @@ mod tests {
                     Op::Advance { dcycles: 2000 },
                 ],
             };
-            assert_eq!(run_case(&case), None, "policy {policy:?} diverged");
+            let report = run_case_report(&case);
+            assert_eq!(report.divergence, None, "policy {policy:?} diverged");
+            assert_eq!(
+                report.l1_accesses, None,
+                "multi-module case is not L1-shaped"
+            );
+        }
+    }
+
+    /// A hand-written L1-shaped case engages the L1 replica, which agrees
+    /// with the scalar path across hits at depth, dirty evictions and an
+    /// advance mid-stream, under both non-polyphase policies.
+    #[test]
+    fn l1_shaped_case_agrees() {
+        // Set 3 of a 16-set, 2-way cache: blocks 3, 19, 35, 51 collide.
+        let access = |block, write| Op::Access {
+            block,
+            write,
+            dcycles: 10,
+        };
+        let ops = vec![
+            access(3, true),
+            access(19, true),
+            access(3, false),  // hit at position 1
+            access(35, false), // evicts dirty 19
+            Op::Advance { dcycles: 500 },
+            access(19, false), // evicts dirty 3
+            access(35, true),  // hit at position 1
+            access(51, false), // evicts clean 19
+            access(4, true),
+            Op::Advance { dcycles: 900 },
+            access(4, false),
+        ];
+        for policy in [CheckPolicy::PeriodicAll, CheckPolicy::PeriodicValid] {
+            let config = CaseConfig {
+                sets: 16,
+                ways: 2,
+                banks: 1,
+                modules: 1,
+                leader_stride: None,
+                policy,
+                retention: 400,
+                phases: 1,
+            };
+            assert!(is_l1_shaped(&config));
+            let mut scalar = fresh_cache(&config);
+            for op in &ops {
+                if let Op::Access { block, write, .. } = *op {
+                    scalar.access(block, write, 0);
+                }
+            }
+            assert_eq!(scalar.stats.writebacks, 2, "case lost its dirty evictions");
+            let case = Case {
+                config,
+                ops: ops.clone(),
+            };
+            let report = run_case_report(&case);
+            assert_eq!(report.divergence, None, "policy {policy:?} diverged");
+            assert_eq!(report.l1_accesses, Some(9), "L1 replica did not run");
         }
     }
 
