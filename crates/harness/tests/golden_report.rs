@@ -67,6 +67,19 @@ fn table3_default_baseline_report_matches_golden() {
     );
 }
 
+/// The polyphase comparators: per-line refresh schedules, not a periodic
+/// sweep, so these pin the polyphase scheduler's refresh and
+/// invalidation counts (and everything downstream of them).
+#[test]
+fn table3_default_rpv_report_matches_golden() {
+    check_or_bless("simreport_table3_default_rpv.json", &run(Technique::Rpv));
+}
+
+#[test]
+fn table3_default_rpd_report_matches_golden() {
+    check_or_bless("simreport_table3_default_rpd.json", &run(Technique::Rpd));
+}
+
 /// Tracing is a strictly read-only tap: running the same configuration
 /// with a full-filter tracer attached must reproduce the golden report
 /// byte for byte (and therefore the same run-cache fingerprint).
