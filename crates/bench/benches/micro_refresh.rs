@@ -1,4 +1,4 @@
-//! Microbenchmarks of the refresh machinery: the polyphase calendar
+//! Microbenchmarks of the refresh machinery: the polyphase armed-counter
 //! scheduler, whole-cache refresh advances per policy, and the contention
 //! model.
 
@@ -24,18 +24,19 @@ fn bench(c: &mut Criterion) {
 
     // Scheduler touch throughput (hot path: every L2 access under RPV).
     {
-        let mut sched = PolyphaseScheduler::new(100_000, 4, 1 << 16);
+        let mut sched = PolyphaseScheduler::new(100_000, 4, 1 << 16, 4);
         let mut rng = SmallRng::seed_from_u64(7);
         let mut cycle = 0u64;
         group.throughput(Throughput::Elements(1));
         group.bench_function("polyphase_touch", |b| {
             b.iter(|| {
                 cycle += 13;
-                sched.touch(rng.gen_range(0..1u32 << 16), cycle);
+                let line = rng.gen_range(0..1u32 << 16);
+                sched.touch(line, (line % 4) as u8, cycle);
             })
         });
         // Keep the queue from growing without bound across iterations.
-        sched.advance(cycle + 1_000_000, |_, _| DueAction::Drop);
+        sched.advance(cycle + 1_000_000, &mut [0; 4], |_| DueAction::Drop);
     }
 
     // One retention period of refresh work per policy, 75%-valid cache.

@@ -61,8 +61,8 @@ pub struct SetAssocCache {
     /// Per-set valid/dirty bitmasks, stored together so the hit path pulls
     /// both in one host cache line (they are almost always used together).
     pub(crate) bits: Vec<SetBits>,
-    /// `last_update[set * ways + way]`: cycle of the last charge-restoring
-    /// operation (fill, hit, or refresh) — the eDRAM retention clock.
+    /// `last_update[set * ways + way]`: cycle of the last demand
+    /// charge restore (fill or hit); see [`Line::last_update`].
     pub(crate) last_update: Vec<u64>,
     /// Recency orders, one packed word (or byte run) per set.
     pub(crate) order: lru::OrderStore,
@@ -79,6 +79,9 @@ pub struct SetAssocCache {
     /// valid lines (the counts are exact, maintained incrementally).
     pub(crate) valid_per_bank: Vec<u64>,
     active_slots: u64,
+    /// Bumped by every reconfiguration that invalidates lines; see
+    /// [`Self::shrink_epoch`].
+    shrink_epoch: u64,
     /// Whether demand accesses record `last_update`. Only refresh policies
     /// that consult per-line retention clocks (the polyphase family and
     /// multi-periodic scrub) need the store; periodic-valid refresh and the
@@ -153,13 +156,14 @@ impl SetAssocCache {
             valid_lines: 0,
             valid_per_bank: vec![0; geom.banks as usize],
             active_slots: geom.total_slots(),
+            shrink_epoch: 0,
             track_retention: true,
         }
     }
 
     /// Enables or disables per-access `last_update` maintenance. Disable
     /// only when no consumer reads line retention clocks (see the field
-    /// doc); [`Self::refresh_line`] still records refreshes regardless.
+    /// doc).
     pub fn set_retention_tracking(&mut self, on: bool) {
         self.track_retention = on;
     }
@@ -385,6 +389,9 @@ impl SetAssocCache {
             }
         }
 
+        if out.writebacks + out.discards > 0 {
+            self.shrink_epoch += 1;
+        }
         let delta = u64::from(old.abs_diff(new_ways));
         out.slot_transitions = delta * follower_sets;
         let slots_delta = delta * follower_sets;
@@ -406,6 +413,14 @@ impl SetAssocCache {
             self.assert_invariants();
         }
         out
+    }
+
+    /// Count of reconfigurations that invalidated at least one line. A
+    /// refresh engine that keeps per-line state compares it across
+    /// advances to learn that lines went invalid without a per-line
+    /// notification.
+    pub fn shrink_epoch(&self) -> u64 {
+        self.shrink_epoch
     }
 
     /// Number of currently valid lines (all valid lines live in active
@@ -473,18 +488,6 @@ impl SetAssocCache {
             dirty: self.bits[set_idx].dirty & bit != 0,
             last_update: self.last_update[slot],
         }
-    }
-
-    /// Restores the charge of one line (a refresh): bumps `last_update`
-    /// and returns whether the line was valid (invalid slots are ignored).
-    #[inline]
-    pub fn refresh_line(&mut self, set: u32, way: u8, now: u64) -> bool {
-        let set_idx = set as usize;
-        if self.bits[set_idx].valid & (1u64 << way) == 0 {
-            return false;
-        }
-        self.last_update[set_idx * self.geom.ways as usize + way as usize] = now;
-        true
     }
 
     /// Visits every valid line (used by refresh engines).

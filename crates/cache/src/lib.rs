@@ -58,27 +58,6 @@ macro_rules! strict_assert_eq {
     }};
 }
 
-/// Best-effort read prefetch of the cache line holding `*p`. A pure
-/// scheduling hint for pointer-chasing batch loops whose future addresses
-/// are known several iterations ahead (the polyphase refresh drain); no-op
-/// on non-x86 targets. Safety: `_mm_prefetch` never faults and reads no
-/// data architecturally, and callers pass references, so the address is
-/// always valid.
-#[inline(always)]
-pub fn prefetch_read<T>(p: &T) {
-    #[cfg(target_arch = "x86_64")]
-    // SAFETY: prefetch is a hint; it cannot fault even on bad addresses,
-    // and `p` is a valid reference besides.
-    unsafe {
-        core::arch::x86_64::_mm_prefetch(
-            std::ptr::from_ref(p).cast::<i8>(),
-            core::arch::x86_64::_MM_HINT_T0,
-        );
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = p;
-}
-
 pub mod atd;
 pub mod batch;
 pub mod cache;

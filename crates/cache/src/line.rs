@@ -2,20 +2,19 @@
 
 /// State of one cache line (block) slot.
 ///
-/// `last_update` records the cycle at which the line contents were last
-/// "written into the cell array" — a fill, a write hit, **or a refresh**.
-/// It is the quantity the eDRAM retention clock runs against: the line's
-/// charge is stale once `now - last_update >= retention_period`. Read hits
-/// also update it because an eDRAM read internally rewrites the cell
-/// (destructive read + restore), which is the property Refrint's polyphase
-/// policies exploit ("on a read or a write, an eDRAM cache block is
-/// automatically refreshed", paper §6.2).
+/// `last_update` records the cycle of the line's last *demand* charge
+/// restore: a fill or a hit. Read hits count because an eDRAM read
+/// internally rewrites the cell (destructive read + restore), which is the
+/// property Refrint's polyphase policies exploit ("on a read or a write,
+/// an eDRAM cache block is automatically refreshed", paper §6.2).
+/// Refreshes do not write it: the full retention clock, the later of this
+/// and the line's last refresh, is `esteem_edram::RefreshEngine::last_restore`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Line {
     pub tag: u64,
     pub valid: bool,
     pub dirty: bool,
-    /// Cycle of the last charge-restoring operation (fill/hit/refresh).
+    /// Cycle of the last demand charge restore (fill/hit).
     pub last_update: u64,
 }
 

@@ -10,9 +10,10 @@
 //! and the oracle in lockstep, and for every divergence writes a minimized
 //! reproducer JSON into `--out` (default `results/repros/`). Each case
 //! also fuzzes Algorithm 1 against its reference transcription. The
-//! summary line reports the cases actually run and how many of them were
-//! L1-shaped, i.e. also replayed through the L1 batch kernel. Exit code
-//! is nonzero iff any divergence was found.
+//! summary line reports the cases actually run, how many of them were
+//! L1-shaped, i.e. also replayed through the L1 batch kernel, and how many
+//! were polyphase cases whose module shrink ran the refresh engine's
+//! disarm walk. Exit code is nonzero iff any divergence was found.
 //!
 //! Replay mode: `--replay FILE` re-runs one saved reproducer and reports
 //! whether it still diverges (exit 1) or has been fixed (exit 0).
@@ -91,14 +92,17 @@ fn main() -> ExitCode {
     install_quiet_panic_hook();
     let mut divergences = 0usize;
     // Cases actually run (`--max-divergences` can stop the loop early),
-    // and how many of them engaged the L1 replica.
+    // how many of them engaged the L1 replica, and how many ran the
+    // polyphase disarm walk.
     let mut ran = 0u64;
     let mut l1_shaped = 0u64;
+    let mut polyphase_shrink = 0u64;
     for i in 0..args.cases {
         let case = gen_case(&mut case_rng(args.seed, i));
         let report = run_case_report(&case);
         ran += 1;
         l1_shaped += u64::from(report.l1_accesses.is_some());
+        polyphase_shrink += u64::from(report.polyphase_shrink);
         if let Some(raw) = report.divergence {
             divergences += 1;
             eprintln!("case {i} (seed {}): {raw}", args.seed);
@@ -155,13 +159,15 @@ fn main() -> ExitCode {
 
     if divergences == 0 {
         println!(
-            "esteem-check: {ran} cases ({l1_shaped} L1-shaped), seed {}, zero divergences",
+            "esteem-check: {ran} cases ({l1_shaped} L1-shaped, {polyphase_shrink} polyphase-shrink), \
+             seed {}, zero divergences",
             args.seed
         );
         ExitCode::SUCCESS
     } else {
         println!(
-            "esteem-check: {divergences} divergence(s) over {ran} cases ({l1_shaped} L1-shaped), \
+            "esteem-check: {divergences} divergence(s) over {ran} cases \
+             ({l1_shaped} L1-shaped, {polyphase_shrink} polyphase-shrink), \
              seed {}; reproducers in {}",
             args.seed,
             args.out.display()

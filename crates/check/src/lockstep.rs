@@ -5,14 +5,16 @@
 //! `esteem_core::System` does: demand accesses are reported to the refresh
 //! engine via `on_access`, reconfigurations go through
 //! `set_module_active_ways` (turned-off lines are *not* unscheduled — the
-//! lazy scheduler drops them at drain time, matching the simulator), and
-//! the engine is advanced to the current cycle at every `Advance` op. After
-//! each advance the *entire* observable state is compared: line states,
-//! every lifetime counter, the ATD histograms, the drained per-bank refresh
-//! windows, and the eq. 2–8 energy identities evaluated over both sides'
-//! counters. A panic out of the optimized stack (e.g. a promoted
-//! `strict-invariants` assert) is caught and reported as a divergence at
-//! the op that raised it, so it minimizes like any mismatch.
+//! engine notices the shrink at its next advance, matching the simulator),
+//! and the engine is advanced to the current cycle at every `Advance` op.
+//! After each advance the *entire* observable state is compared: line
+//! states (with the retention clock read from
+//! [`RefreshEngine::last_restore`]), every lifetime counter, the ATD
+//! histograms, the drained per-bank refresh windows, and the eq. 2–8
+//! energy identities evaluated over both sides' counters. A panic out of
+//! the optimized stack (e.g. a promoted `strict-invariants` assert) is
+//! caught and reported as a divergence at the op that raised it, so it
+//! minimizes like any mismatch.
 //!
 //! Every case whose fresh cache has the L1 shape
 //! ([`SetAssocCache::supports_l1_batch`]: one module, one bank, no leader
@@ -74,6 +76,9 @@ pub struct CaseReport {
     /// Accesses the L1 replica ran through `access_batch_l1`; `None` when
     /// the case's cache is not L1-shaped and the replica never engaged.
     pub l1_accesses: Option<u64>,
+    /// Whether a module shrink made the polyphase engine walk its armed
+    /// lines (always `false` under a periodic policy).
+    pub polyphase_shrink: bool,
 }
 
 /// Runs one case to completion; `Some` carries the first divergence (or
@@ -88,8 +93,9 @@ pub fn run_case_report(case: &Case) -> CaseReport {
     LAST_PANIC.with(|c| *c.borrow_mut() = None);
     let op_index = RefCell::new(0usize);
     let l1_accesses = Cell::new(None);
+    let polyphase_shrink = Cell::new(false);
     let result = catch_unwind(AssertUnwindSafe(|| {
-        run_case_inner(case, &op_index, &l1_accesses)
+        run_case_inner(case, &op_index, &l1_accesses, &polyphase_shrink)
     }));
     let divergence = match result {
         Ok(d) => d,
@@ -114,6 +120,7 @@ pub fn run_case_report(case: &Case) -> CaseReport {
     CaseReport {
         divergence,
         l1_accesses: l1_accesses.get(),
+        polyphase_shrink: polyphase_shrink.get(),
     }
 }
 
@@ -171,6 +178,8 @@ struct Harness<'a> {
     l1: Option<L1Replica>,
     /// Accesses the replica has run so far (`None`: never engaged).
     l1_accesses: &'a Cell<Option<u64>>,
+    /// Set once the engine has run a post-shrink disarm walk.
+    polyphase_shrink: &'a Cell<bool>,
 }
 
 /// An independent cache fed exclusively through the L1 batch kernel. It
@@ -290,6 +299,7 @@ fn run_case_inner(
     case: &Case,
     op_index: &RefCell<usize>,
     l1_accesses: &Cell<Option<u64>>,
+    polyphase_shrink: &Cell<bool>,
 ) -> Option<Divergence> {
     let cfg = &case.config;
     let cache = fresh_cache(cfg);
@@ -317,6 +327,7 @@ fn run_case_inner(
         ora_reconf_wb: 0,
         l1,
         l1_accesses,
+        polyphase_shrink,
     };
 
     for (at, op) in case.ops.iter().enumerate() {
@@ -404,6 +415,7 @@ fn run_case_inner(
 
 fn advance_and_compare(h: &mut Harness, at: usize) -> Option<Divergence> {
     let rep = h.engine.advance(&mut h.cache, h.now);
+    h.polyphase_shrink.set(h.engine.disarm_walks() > 0);
     let (ora_r, ora_i) = h.oracle.advance_refresh(h.now);
     diff!(at, "advance.refreshes", ora_r, rep.refreshes);
     diff!(at, "advance.invalidations", ora_i, rep.invalidations);
@@ -487,7 +499,7 @@ fn compare_full(h: &mut Harness, at: usize) -> Option<Divergence> {
     for set in 0..cfg.sets {
         for way in 0..cfg.ways {
             let opt = h.cache.line(set, way);
-            let (valid, dirty, tag, last_update) = h.oracle.line(set, way);
+            let (valid, dirty, tag, restored) = h.oracle.line(set, way);
             diff!(at, format!("line[{set}][{way}].valid"), valid, opt.valid);
             if valid {
                 diff!(at, format!("line[{set}][{way}].dirty"), dirty, opt.dirty);
@@ -495,9 +507,9 @@ fn compare_full(h: &mut Harness, at: usize) -> Option<Divergence> {
                 if track {
                     diff!(
                         at,
-                        format!("line[{set}][{way}].last_update"),
-                        last_update,
-                        opt.last_update
+                        format!("line[{set}][{way}].last_restore"),
+                        restored,
+                        h.engine.last_restore(&h.cache, set, way)
                     );
                 }
             }
@@ -607,6 +619,11 @@ mod tests {
             assert_eq!(
                 report.l1_accesses, None,
                 "multi-module case is not L1-shaped"
+            );
+            assert_eq!(
+                report.polyphase_shrink,
+                policy.is_polyphase(),
+                "the shrink turns off valid lines; only polyphase walks them"
             );
         }
     }

@@ -3,15 +3,17 @@
 //! The engine is advanced to the current cycle once per simulation quantum
 //! (the system simulator's outer loop). Between advances, the simulator
 //! reports every charge-restoring demand event via [`RefreshEngine::on_access`]
-//! and every invalidation via [`RefreshEngine::on_invalidate`] so the
-//! polyphase schedule stays consistent with the cache contents.
+//! and may report invalidations via [`RefreshEngine::on_invalidate`]; lines
+//! a module shrink turns off are picked up at the next advance through the
+//! cache's shrink epoch. Together these keep the polyphase schedule
+//! consistent with the cache contents.
 //!
 //! Each bank refreshes one line per cycle (pipelined, paper §6.1), so a
 //! refresh op costs the bank exactly one cycle of availability; the counts
 //! produced here feed both the energy model (`N_R`) and the
 //! [`BankContention`](crate::BankContention) timing model.
 
-use esteem_cache::{AccessOutcome, SetAssocCache};
+use esteem_cache::{AccessOutcome, CacheGeometry, SetAssocCache};
 
 use crate::errors::RetentionVariation;
 use crate::policy::RefreshPolicy;
@@ -31,7 +33,7 @@ pub struct AdvanceReport {
 pub struct RefreshEngine {
     policy: RefreshPolicy,
     retention: RetentionSpec,
-    ways: u8,
+    geom: CacheGeometry,
     sched: Option<PolyphaseScheduler>,
     /// Retention-variation model (multi-periodic policy only).
     variation: RetentionVariation,
@@ -41,6 +43,11 @@ pub struct RefreshEngine {
     bank_window: Vec<u64>,
     total_refreshes: u64,
     total_invalidations: u64,
+    /// The cache's [`SetAssocCache::shrink_epoch`] at the last polyphase
+    /// advance.
+    seen_shrink_epoch: u64,
+    /// Polyphase advances that walked the armed lines after a shrink.
+    disarm_walks: u64,
     /// Reusable scrub-victim buffer (multi-periodic policy): avoids a
     /// Vec allocation per scrub pass.
     scratch_victims: Vec<(u32, u8)>,
@@ -54,6 +61,7 @@ impl RefreshEngine {
                 retention.period_cycles,
                 policy.phases(),
                 g.total_slots(),
+                g.banks,
             ))
         } else {
             None
@@ -67,13 +75,15 @@ impl RefreshEngine {
         Self {
             policy,
             retention,
-            ways: g.ways,
+            geom: g,
             sched,
             variation: RetentionVariation::default(),
             next_period_end: first_period,
             bank_window: vec![0; g.banks as usize],
             total_refreshes: 0,
             total_invalidations: 0,
+            seen_shrink_epoch: cache.shrink_epoch(),
+            disarm_walks: 0,
             scratch_victims: Vec::new(),
         }
     }
@@ -90,7 +100,7 @@ impl RefreshEngine {
 
     #[inline]
     fn line_id(&self, set: u32, way: u8) -> u32 {
-        set * u32::from(self.ways) + u32::from(way)
+        set * u32::from(self.geom.ways) + u32::from(way)
     }
 
     /// Reports a demand access (hit or fill): reads and writes restore the
@@ -99,13 +109,13 @@ impl RefreshEngine {
     pub fn on_access(&mut self, outcome: &AccessOutcome, cycle: u64) {
         let id = self.line_id_outcome(outcome);
         if let Some(sched) = &mut self.sched {
-            sched.touch(id, cycle);
+            sched.touch(id, outcome.bank, cycle);
         }
     }
 
     #[inline]
     fn line_id_outcome(&self, o: &AccessOutcome) -> u32 {
-        o.set * u32::from(self.ways) + u32::from(o.way)
+        o.set * u32::from(self.geom.ways) + u32::from(o.way)
     }
 
     /// Whether [`Self::on_access`] has any effect under the active policy.
@@ -127,18 +137,19 @@ impl RefreshEngine {
             return;
         };
         for (o, cycle) in events {
-            let id = o.set * u32::from(self.ways) + u32::from(o.way);
-            sched.touch(id, *cycle);
+            let id = o.set * u32::from(self.geom.ways) + u32::from(o.way);
+            sched.touch(id, o.bank, *cycle);
         }
     }
 
-    /// Reports an invalidation performed outside the engine (way turn-off
-    /// during reconfiguration): the line no longer needs refreshing.
+    /// Reports an invalidation performed outside the engine: the line no
+    /// longer needs refreshing. Optional for way turn-off, which the next
+    /// [`Self::advance`] detects through [`SetAssocCache::shrink_epoch`].
     #[inline]
     pub fn on_invalidate(&mut self, set: u32, way: u8) {
         let id = self.line_id(set, way);
         if let Some(sched) = &mut self.sched {
-            sched.unschedule(id);
+            sched.unschedule(id, self.geom.bank_of(set));
         }
     }
 
@@ -203,43 +214,32 @@ impl RefreshEngine {
                 }
                 self.scratch_victims = victims;
             }
-            RefreshPolicy::PolyphaseValid { .. } => {
+            RefreshPolicy::PolyphaseValid { .. } | RefreshPolicy::PolyphaseDirty { .. } => {
+                let dirty_only = matches!(self.policy, RefreshPolicy::PolyphaseDirty { .. });
                 let sched = self.sched.as_mut().expect("polyphase has a scheduler");
-                let split = split_line(self.ways);
-                let g = *cache.geometry();
-                let banks = &mut self.bank_window;
-                sched.advance(to_cycle, |line, boundary| {
-                    let (set, way) = split(line);
-                    if !cache.refresh_line(set, way, boundary) {
-                        return DueAction::Drop;
-                    }
-                    banks[g.bank_of(set) as usize] += 1;
-                    report.refreshes += 1;
-                    DueAction::Refreshed
-                });
-            }
-            RefreshPolicy::PolyphaseDirty { .. } => {
-                let sched = self.sched.as_mut().expect("polyphase has a scheduler");
-                let split = split_line(self.ways);
-                let g = *cache.geometry();
-                let banks = &mut self.bank_window;
-                sched.advance(to_cycle, |line, boundary| {
+                if cache.shrink_epoch() != self.seen_shrink_epoch {
+                    self.seen_shrink_epoch = cache.shrink_epoch();
+                    self.disarm_walks += 1;
+                    disarm_invalid(sched, cache);
+                }
+                let split = split_line(self.geom.ways);
+                let g = self.geom;
+                report.refreshes = sched.advance(to_cycle, &mut self.bank_window, |line| {
                     let (set, way) = split(line);
                     let l = cache.line(set, way);
                     if !l.valid {
                         return DueAction::Drop;
                     }
-                    if l.dirty {
-                        cache.refresh_line(set, way, boundary);
-                        banks[g.bank_of(set) as usize] += 1;
-                        report.refreshes += 1;
-                        DueAction::Refreshed
-                    } else {
-                        // Clean and idle for a full period: drop it rather
-                        // than spend a refresh — a later miss refetches it.
+                    if dirty_only && !l.dirty {
+                        // RPD: clean and idle for a full period — drop it
+                        // rather than spend a refresh; a later miss
+                        // refetches it.
                         cache.invalidate_line(set, way);
                         report.invalidations += 1;
-                        DueAction::Drop
+                        return DueAction::Drop;
+                    }
+                    DueAction::Arm {
+                        bank: g.bank_of(set),
                     }
                 });
             }
@@ -275,11 +275,30 @@ impl RefreshEngine {
         self.bank_window.fill(0);
     }
 
-    /// Lines still queued in the polyphase scheduler (zero for periodic
-    /// policies, which keep no queue). Interval-boundary observability:
-    /// a growing queue is the signature of a refresh storm building up.
+    /// The polyphase scheduler's first-due backlog: ring entries for
+    /// lines touched since their last refresh, stale ones included (zero
+    /// for periodic policies, which keep no queue). Armed lines, which
+    /// refresh every period without re-queuing, are not counted.
     pub fn queued_lines(&self) -> u64 {
         self.sched.as_ref().map_or(0, |s| s.queued_entries() as u64)
+    }
+
+    /// Retention clock of one line: the later of its last demand restore
+    /// ([`esteem_cache::Line::last_update`]) and, under a polyphase
+    /// policy, its last refresh. Refreshes of armed lines are counted per
+    /// phase class, not stored per line, so this derives them.
+    pub fn last_restore(&self, cache: &SetAssocCache, set: u32, way: u8) -> u64 {
+        let demand = cache.line(set, way).last_update;
+        self.sched
+            .as_ref()
+            .and_then(|s| s.last_refresh(self.line_id(set, way)))
+            .map_or(demand, |r| r.max(demand))
+    }
+
+    /// Polyphase advances that ran the post-shrink disarm walk
+    /// (differential-checker coverage).
+    pub fn disarm_walks(&self) -> u64 {
+        self.disarm_walks
     }
 
     /// Lifetime refresh count (`N_R` deltas are taken from this).
@@ -305,8 +324,24 @@ impl esteem_stats::StatsSource for RefreshEngine {
     }
 }
 
+/// Disarms every armed line that is no longer valid: lines a module shrink
+/// turned off since the last advance. One walk over all lines per shrink,
+/// and none at all for the simulator's polyphase techniques, which never
+/// reconfigure.
+fn disarm_invalid(sched: &mut PolyphaseScheduler, cache: &SetAssocCache) {
+    let g = cache.geometry();
+    for set in 0..g.sets {
+        for way in 0..g.ways {
+            let line = set * u32::from(g.ways) + u32::from(way);
+            if sched.is_armed(line) && !cache.line(set, way).valid {
+                sched.unschedule(line, g.bank_of(set));
+            }
+        }
+    }
+}
+
 /// Decomposes a packed line id back into `(set, way)`. The polyphase drain
-/// does this once per due line; every real geometry has power-of-two
+/// does this once per first-due line; every real geometry has power-of-two
 /// associativity, so prefer shift/mask over two hardware divisions (the
 /// branch is on a captured constant, predicted after the first entry).
 #[inline]
@@ -452,8 +487,10 @@ mod tests {
         e.on_access(&o, 0);
         let r = e.advance(&mut c, 5000);
         assert_eq!(r.refreshes, 5);
-        // last_update advanced by the refreshes.
-        assert!(c.line(o.set, o.way).last_update >= 4000);
+        // The retention clock follows the refreshes; the demand clock does
+        // not.
+        assert_eq!(e.last_restore(&c, o.set, o.way), 5000);
+        assert_eq!(c.line(o.set, o.way).last_update, 0);
     }
 
     #[test]
@@ -499,6 +536,46 @@ mod tests {
         c.invalidate_line(o.set, o.way);
         e.on_invalidate(o.set, o.way);
         assert_eq!(e.advance(&mut c, 10_000).refreshes, 0);
+    }
+
+    /// Armed lines a module shrink turns off stop refreshing at the next
+    /// advance (no per-line notification needed); refilled, they are
+    /// scheduled and armed again.
+    #[test]
+    fn rpv_shrink_disarms_turned_off_lines_and_refill_rearms() {
+        let mut c = cache();
+        let mut e = RefreshEngine::new(RefreshPolicy::RPV, ret(1000), &c);
+        let g = *c.geometry();
+        // Set 1 (module 0, bank 1) full; set 20 (module 1, bank 0) one line.
+        for t in 1..=4u64 {
+            let o = c.access(g.block_of(t, 1), false, 0);
+            e.on_access(&o, 0);
+        }
+        let o = c.access(g.block_of(1, 20), false, 0);
+        e.on_access(&o, 0);
+        assert_eq!(e.advance(&mut c, 1000).refreshes, 5);
+        assert_eq!(e.advance(&mut c, 2000).refreshes, 5, "all five armed");
+        assert_eq!(e.drain_bank_refreshes(), vec![2, 8]);
+
+        // Keep one way of module 0: three armed lines of set 1 go invalid.
+        let out = c.set_module_active_ways(0, 1, 2000);
+        assert_eq!(out.discards, 3);
+        assert_eq!(e.advance(&mut c, 3000).refreshes, 2);
+        assert_eq!(e.disarm_walks(), 1);
+        assert_eq!(e.drain_bank_refreshes(), vec![1, 1]);
+
+        // Grow back and refill set 1: the refills schedule, then arm.
+        c.set_module_active_ways(0, 4, 3000);
+        for t in 5..=7u64 {
+            let o = c.access(g.block_of(t, 1), false, 3100);
+            e.on_access(&o, 3100);
+        }
+        assert_eq!(e.advance(&mut c, 4000).refreshes, 5);
+        assert_eq!(e.advance(&mut c, 5000).refreshes, 5);
+        assert_eq!(e.disarm_walks(), 1, "a grow invalidates nothing");
+        for way in 0..4 {
+            assert_eq!(e.last_restore(&c, 1, way), 5000);
+        }
     }
 
     #[test]

@@ -15,9 +15,10 @@ const RETENTION: u64 = 1000;
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// RPV safety: every *valid* line's charge age (now - last_update)
-    /// never exceeds one retention period plus one phase of slack, no
-    /// matter how accesses and engine advances interleave.
+    /// RPV safety: every *valid* line's charge age (now minus the
+    /// engine's `last_restore`, the later of its last demand restore and
+    /// its last refresh) never exceeds one retention period plus one phase
+    /// of slack, no matter how accesses and engine advances interleave.
     #[test]
     fn rpv_never_violates_retention(
         steps in proptest::collection::vec((0u64..200, 1u64..40, any::<bool>()), 1..300),
@@ -36,11 +37,11 @@ proptest! {
             let out = cache.access(block, write, now);
             eng.on_access(&out, now);
             // Check the invariant over all valid lines at this instant.
-            // A line is due at phase_floor(last_update) + RETENTION, and
+            // A line is due at phase_floor(last restore) + RETENTION, and
             // the engine may lag by the un-advanced gap; the bound below
             // holds because we advanced to `now` first.
-            cache.for_each_valid(|set, way, line| {
-                let age = now.saturating_sub(line.last_update);
+            cache.for_each_valid(|set, way, _| {
+                let age = now.saturating_sub(eng.last_restore(&cache, set, way));
                 assert!(
                     age <= RETENTION + phase,
                     "line ({set},{way}) aged {age} > bound at {now}"

@@ -110,8 +110,9 @@ pub enum TraceEvent {
         cycle: u64,
         refreshes: u64,
         invalidations: u64,
-        /// Lines still queued in the polyphase scheduler afterwards
-        /// (zero for purely periodic policies).
+        /// The polyphase scheduler's first-due backlog afterwards: queued
+        /// entries for lines touched since their last refresh, stale ones
+        /// included (zero for purely periodic policies).
         pending: u64,
     },
     /// One bank-contention window rollover: the modelled DRAM-contention
